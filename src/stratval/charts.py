@@ -106,7 +106,7 @@ class ChainChart:
                 },
                 order_limits={k: int(v) for k, v in limits.items()} if limits else None,
             )
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad chart document: {e}") from None
 
     def to_json(self) -> dict:

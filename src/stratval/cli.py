@@ -60,36 +60,31 @@ def cmd_degree(ws: Workspace) -> int:
     from math import factorial
 
     from stratval.geometry import (
+        chain_volumes,
         complex_to_json,
         default_lattices,
         hodge_degree,
-        rational_structure,
-        volume,
     )
 
     ps = ws.ps
-    r = ps.r
-    lattices = default_lattices(ps)
-    per_chain = []
-    total = Fraction(0)
-    for chain in ps.maximal_chains():
-        vol = volume(rational_structure(ps, chain, lattices[chain]))
-        total += vol
-        per_chain.append(
-            {"chain": list(chain), "r_factorial_vol": str(factorial(r) * vol)}
-        )
+    r_fact = factorial(ps.r)
+    vols = chain_volumes(ps, default_lattices(ps))
+    deg = r_fact * sum(vols.values(), Fraction(0))
     doc = {
         "schema": "stratval-degree/1",
-        "degree": str(factorial(r) * total),
-        "per_chain": per_chain,
+        "degree": str(deg),
+        "per_chain": [
+            {"chain": list(chain), "r_factorial_vol": str(r_fact * vol)}
+            for chain, vol in vols.items()
+        ],
         "complex": complex_to_json(ps),
     }
     try:
         hd = hodge_degree(ps)
         doc["hodge_degree"] = str(hd)
-        if hd != factorial(r) * total:
+        if hd != deg:
             raise ValidationFailure(
-                f"volume degree {factorial(r) * total} disagrees with the "
+                f"volume degree {deg} disagrees with the "
                 f"extremal-degree formula {hd}"
             )
     except ValidationFailure as e:
@@ -102,6 +97,8 @@ def cmd_degree(ws: Workspace) -> int:
 def cmd_hilbert(ws: Workspace, max_n: int) -> int:
     from stratval.geometry import default_lattices, hilbert_incl_excl, sr_hilbert
 
+    if max_n < 0:
+        raise SchemaError(f"--max must be nonnegative, got {max_n}")
     ps = ws.ps
     lattices = default_lattices(ps)
     lines = ["# stratval-csv/1", "n,incl_excl,stanley_reisner,ring"]
@@ -115,13 +112,13 @@ def cmd_hilbert(ws: Workspace, max_n: int) -> int:
 
 
 def cmd_valuate(ws: Workspace, poly: str) -> int:
-    from stratval.valuation import quasi_valuation, valuate_all
+    from stratval.valuation import minimum, valuate_all
 
     g = parse_laurent(poly)
     atlas = ws.require_atlas()
     order = ws.order
     per_chain = valuate_all(g, atlas, ws.ps)
-    qv = quasi_valuation(g, atlas, ws.ps, order)
+    qv, attaining = minimum(per_chain, order)
     doc = {
         "schema": "stratval-valuation/1",
         "poly": poly,
@@ -134,11 +131,7 @@ def cmd_valuate(ws: Workspace, poly: str) -> int:
         ],
         "quasi_valuation": qv.to_json(),
         "support": sorted(qv.support()),
-        "attaining": [
-            list(chain)
-            for chain, res in sorted(per_chain.items())
-            if res.value == qv
-        ],
+        "attaining": [list(chain) for chain in attaining],
     }
     _emit(doc)
     return 0

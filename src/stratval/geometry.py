@@ -123,15 +123,21 @@ def volume(rs: RationalStructure) -> Fraction:
     return abs(d) / factorial(r)
 
 
-def degree(ps: StratPoset, lattices: dict[Chain, LatticeQ]) -> Fraction:
-    """r! times the summed volumes of the projected simplexes."""
-    r = ps.r
-    total = Fraction(0)
+def chain_volumes(
+    ps: StratPoset, lattices: dict[Chain, LatticeQ]
+) -> dict[Chain, Fraction]:
+    """Volume of each maximal chain's projected simplex, in chain order."""
+    vols = {}
     for chain in ps.maximal_chains():
         if chain not in lattices:
             raise SchemaError(f"no lattice given for chain {'>'.join(chain)}")
-        total += volume(rational_structure(ps, chain, lattices[chain]))
-    return factorial(r) * total
+        vols[chain] = volume(rational_structure(ps, chain, lattices[chain]))
+    return vols
+
+
+def degree(ps: StratPoset, lattices: dict[Chain, LatticeQ]) -> Fraction:
+    """r! times the summed volumes of the projected simplexes."""
+    return factorial(ps.r) * sum(chain_volumes(ps, lattices).values(), Fraction(0))
 
 
 def default_lattices(ps: StratPoset) -> dict[Chain, LatticeQ]:

@@ -147,14 +147,6 @@ class LaurentPoly:
                 out[_mono_mul(m, ((var, -k),))] = c
         return LaurentPoly(out)
 
-    def total_degree_parts(self) -> dict[int, "LaurentPoly"]:
-        """Split into homogeneous parts by total degree (sum of exponents)."""
-        parts: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            d = sum(e for _, e in m)
-            parts.setdefault(d, {})[m] = c
-        return {d: LaurentPoly(t) for d, t in parts.items()}
-
     def weighted_degree_parts(self, weights: dict[str, int]) -> dict[int, "LaurentPoly"]:
         parts: dict[int, dict[Monomial, Fraction]] = {}
         for m, c in self.terms.items():
@@ -265,10 +257,6 @@ class LaurentFraction:
             raise ZeroDivisionError("zero denominator")
         self.num = num
         self.den = den
-
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "LaurentFraction":
-        return LaurentFraction(p)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -404,9 +404,10 @@ def length_compatible_orders(ps: StratPoset, limit: int):
 
 
 def balanced_report(ps: StratPoset, atlas, probes, limit: int = 720) -> BalancedReport:
-    """Empirical balanced-ness: recompute quasi-valuations of the probe
-    functions under every length-compatible total order (or a sample)."""
-    from stratval.valuation import quasi_valuation
+    """Empirical balanced-ness: compare the quasi-valuations of the probe
+    functions under every length-compatible total order (or a sample).  Each
+    probe is valuated once; only the lex-min depends on the order."""
+    from stratval.valuation import minimum, valuate_all
 
     levels: dict[int, int] = {}
     for p in ps.ids:
@@ -416,11 +417,12 @@ def balanced_report(ps: StratPoset, atlas, probes, limit: int = 720) -> Balanced
         for k in range(2, n + 1):
             total *= k
     regime = "full" if total <= limit else "sampled"
+    passes = [valuate_all(g, atlas, ps) for g in probes]
     baseline: list[AVector] | None = None
     checked = 0
     disagreements = []
     for order in length_compatible_orders(ps, limit):
-        values = [quasi_valuation(g, atlas, ps, order) for g in probes]
+        values = [minimum(per_chain, order)[0] for per_chain in passes]
         if baseline is None:
             baseline = values
         elif values != baseline:

@@ -254,7 +254,7 @@ class StratPoset:
             covers = [
                 (c["upper"], c["lower"], int(c["bond"])) for c in doc["covers"]
             ]
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad stratification document: {e}") from None
         return StratPoset(
             elements, covers, fdeg, extend_bottom=bool(doc.get("extend_bottom", False))

@@ -149,7 +149,7 @@ class GradedQuotient:
         try:
             variables = [(v["name"], int(v["degree"])) for v in doc["vars"]]
             relations = [parse_laurent(r) for r in doc.get("relations", [])]
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad ring document: {e}") from None
         return GradedQuotient(variables, relations)
 

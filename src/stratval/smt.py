@@ -21,7 +21,12 @@ from stratval.laurent import LaurentPoly, parse_laurent
 from stratval.monoids import MonoidFan, decompose, indecomposables
 from stratval.poset import StratPoset
 from stratval.ringmodel import GradedQuotient
-from stratval.valuation import chain_valuation, chains_attaining, quasi_valuation
+from stratval.valuation import (
+    chain_valuation,
+    minimum,
+    quasi_valuation,
+    valuate_all,
+)
 
 
 @dataclass
@@ -220,7 +225,8 @@ def subduction(
     for _ in range(max_iter):
         if ring.is_zero_in_quotient(current):
             return result
-        a = quasi_valuation(current, atlas, ps, order)
+        per_chain = valuate_all(current, atlas, ps)
+        a, attaining = minimum(per_chain, order)
         if prev_value is not None and (
             lex_compare(a, prev_value, order) is not Ordering.GREATER
         ):
@@ -228,12 +234,11 @@ def subduction(
                 "subduction leading term failed to increase; inconsistent data"
             )
         prev_value = a
-        attaining = chains_attaining(current, atlas, ps, order)
         chain = attaining[0]
         factors = decompose(a, fan, chain)
         mono = StdMonomial(factors)
         rep_poly = reps.product(factors)
-        res_f = chain_valuation(current, atlas[chain], ps)
+        res_f = per_chain[chain]
         res_m = chain_valuation(rep_poly, atlas[chain], ps)
         if res_m.value != a:
             raise StratvalError(

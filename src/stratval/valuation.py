@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from stratval.avector import AVector, Ordering, TotalOrder, lex_compare
+from stratval.avector import AVector, TotalOrder, lex_min
 from stratval.charts import Atlas, ChainChart
 from stratval.errors import ChartError, SchemaError
 from stratval.laurent import LaurentFraction, LaurentPoly
@@ -34,17 +34,11 @@ class ValResult:
         return list(self.D)
 
 
-def to_fraction(g: LaurentPoly | LaurentFraction) -> LaurentFraction:
-    if isinstance(g, LaurentPoly):
-        return LaurentFraction(g)
-    return g
-
-
 def sequence_of_functions(
-    g: LaurentPoly | LaurentFraction, chart: ChainChart, ps: StratPoset
+    g: LaurentPoly, chart: ChainChart, ps: StratPoset
 ) -> ValResult:
     """Run the valuation recursion for g along the chart's chain."""
-    cur = to_fraction(g)
+    cur = LaurentFraction(g)
     if cur.is_zero():
         raise ChartError("cannot valuate the zero function")
     chain = chart.chain
@@ -98,62 +92,39 @@ def chain_valuation(g: LaurentPoly, chart: ChainChart, ps: StratPoset) -> ValRes
     return sequence_of_functions(image, chart, ps)
 
 
-def _parallel_width() -> int:
-    import os
-
-    try:
-        return max(1, int(os.environ.get("STRATIFY_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def valuate_all(
     g: LaurentPoly, atlas: Atlas, ps: StratPoset
 ) -> dict[Chain, ValResult]:
-    """Per-chain values; chains are independent pure computations, so the map
-    may run on STRATIFY_THREADS workers with a deterministic reduce."""
+    """One valuation pass: the chain valuation of g on every maximal chain,
+    keyed in the order of `ps.maximal_chains()`."""
     chains = ps.maximal_chains()
     for chain in chains:
         if chain not in atlas:
             raise SchemaError(f"no chart for maximal chain {'>'.join(chain)}")
-    width = _parallel_width()
-    if width > 1 and len(chains) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            results = list(
-                pool.map(lambda c: chain_valuation(g, atlas[c], ps), chains)
-            )
-        return dict(zip(chains, results))
     return {c: chain_valuation(g, atlas[c], ps) for c in chains}
+
+
+def minimum(
+    per_chain: dict[Chain, ValResult], ord: TotalOrder
+) -> tuple[AVector, list[Chain]]:
+    """The quasi-valuation read off one `valuate_all` pass, with the chains
+    attaining it in sorted order."""
+    value = lex_min((res.value for res in per_chain.values()), ord)
+    return value, [c for c, res in sorted(per_chain.items()) if res.value == value]
 
 
 def quasi_valuation(
     g: LaurentPoly, atlas: Atlas, ps: StratPoset, ord: TotalOrder
 ) -> AVector:
     """Lexicographic minimum of the chain values over all maximal chains."""
-    best: AVector | None = None
-    for res in valuate_all(g, atlas, ps).values():
-        if best is None or lex_compare(res.value, best, ord) is Ordering.LESS:
-            best = res.value
-    assert best is not None
-    return best
-
-
-def support(v: AVector) -> set[str]:
-    return v.support()
+    return minimum(valuate_all(g, atlas, ps), ord)[0]
 
 
 def chains_attaining(
     g: LaurentPoly, atlas: Atlas, ps: StratPoset, ord: TotalOrder
 ) -> list[Chain]:
     """The maximal chains whose chain value equals the quasi-valuation."""
-    per_chain = valuate_all(g, atlas, ps)
-    best: AVector | None = None
-    for res in per_chain.values():
-        if best is None or lex_compare(res.value, best, ord) is Ordering.LESS:
-            best = res.value
-    return [c for c, res in sorted(per_chain.items()) if res.value == best]
+    return minimum(valuate_all(g, atlas, ps), ord)[1]
 
 
 def rees_min(g: LaurentPoly, p: str, atlas: Atlas, ps: StratPoset) -> Fraction:
@@ -176,7 +147,7 @@ def rees_min(g: LaurentPoly, p: str, atlas: Atlas, ps: StratPoset) -> Fraction:
                     break
         if edge_chart is None:
             raise SchemaError(f"no chart in the atlas contains the edge {p} > {q}")
-        cur = to_fraction(ambient_image(g, edge_chart))
+        cur = LaurentFraction(ambient_image(g, edge_chart))
         if cur.is_zero():
             raise ChartError("function is zero on the chart")
         for var in edge_chart.divisor_vars[:pos]:

@@ -33,10 +33,6 @@ class Workspace:
             return order
         return self.ps.default_total_order()
 
-    @property
-    def saturation_bound(self) -> int:
-        return int(self.config.get("saturation_bound", 8))
-
     def require_atlas(self) -> Atlas:
         if not self.atlas:
             raise SchemaError(f"workspace {self.root} has no charts/ directory")

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stratval.avector import AVector, Ordering, TotalOrder, degree_of, lex_compare
+from stratval.avector import (
+    AVector,
+    Ordering,
+    TotalOrder,
+    degree_of,
+    lex_compare,
+    lex_min,
+)
 from stratval.errors import SchemaError
 
 IDS = ["34", "24", "14", "23", "13", "12"]
@@ -67,3 +74,37 @@ def test_lex_total(u, v):
     c1, c2 = lex_compare(u, v, ORD), lex_compare(v, u, ORD)
     assert (c1 is Ordering.EQUAL) == (u == v)
     assert c1.value == -c2.value
+
+
+def test_lex_min_empty_raises():
+    with pytest.raises(ValueError):
+        lex_min([], ORD)
+    with pytest.raises(ValueError):
+        lex_min(iter(()), ORD)
+
+
+def test_lex_min_keeps_first_of_equal_values():
+    a, b = AVector.unit("13"), AVector.unit("13")
+    assert a == b and a is not b
+    assert lex_min([a, b], ORD) is a
+    assert lex_min([AVector.unit("24"), b, a], ORD) is b
+
+
+@given(st.lists(avec_strategy, min_size=1, max_size=6))
+def test_lex_min_is_a_lower_bound(values):
+    m = lex_min(values, ORD)
+    assert any(m is v for v in values)
+    assert all(lex_compare(m, v, ORD) is not Ordering.GREATER for v in values)
+
+
+def test_lex_min_agrees_with_quasi_valuation(gr24, gr24_atlas):
+    from stratval.laurent import parse_laurent
+    from stratval.valuation import quasi_valuation, valuate_all
+
+    for ranked in (IDS, ["34", "24", "23", "14", "13", "12"]):
+        order = TotalOrder(ranked)
+        gr24.check_total_order(order)
+        for expr in ["x14", "x14*x23", "x13 + x14", "x12*x34 - x14*x23", "x34^2 + x24*x13"]:
+            g = parse_laurent(expr)
+            values = [res.value for res in valuate_all(g, gr24_atlas, gr24).values()]
+            assert lex_min(values, order) == quasi_valuation(g, gr24_atlas, gr24, order)

@@ -1,4 +1,7 @@
 import json
+import shutil
+
+import pytest
 
 from stratval.cli import main
 from stratval.workspace import bundled
@@ -162,9 +165,40 @@ def test_determinism(capsys):
     assert d1 == d2
 
 
-def test_threads_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("STRATIFY_THREADS", "4")
-    _, out1 = run(capsys, "valuate", "-w", bundled("gr24"), "--poly", "x14*x23")
-    monkeypatch.setenv("STRATIFY_THREADS", "1")
-    _, out2 = run(capsys, "valuate", "-w", bundled("gr24"), "--poly", "x14*x23")
-    assert out1 == out2
+def _corrupted_copy(tmp_path, name, rel, mutate):
+    """A copy of a bundled set with one JSON document edited in place."""
+    root = tmp_path / name
+    shutil.copytree(bundled(name), root)
+    path = root / rel
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    return str(root)
+
+
+@pytest.mark.parametrize(
+    "name,rel,mutate",
+    [
+        ("gr24", "stratification.json",
+         lambda d: d["elements"][0].update(fdeg="x")),
+        ("gr24", "stratification.json",
+         lambda d: d["covers"][0].update(bond="x")),
+        ("gr24", "ring.json", lambda d: d["vars"][0].update(degree="x")),
+        ("elliptic1", "charts/chain_X1_X0.json",
+         lambda d: d["order_limits"].update(u="x")),
+    ],
+    ids=["fdeg", "bond", "ring_degree", "order_limits"],
+)
+def test_non_integer_field_is_a_schema_error(tmp_path, capsys, name, rel, mutate):
+    ws = _corrupted_copy(tmp_path, name, rel, mutate)
+    code = main(["validate", "-w", ws])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("schema error:")
+
+
+def test_hilbert_negative_max_is_a_schema_error(capsys):
+    code = main(["hilbert", "-w", bundled("gr24"), "--max", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("schema error:")

@@ -245,6 +245,31 @@ def test_balanced_report_gr24(gr24, gr24_atlas):
     assert rep.balanced
 
 
+def test_balanced_report_valuates_each_probe_once(monkeypatch):
+    import stratval.valuation as valuation
+    from stratval.laurent import parse_laurent
+    from stratval.monoids import balanced_report
+    from stratval.workspace import bundled, load_workspace
+
+    ws = load_workspace(bundled("pset_p2"))
+    atlas = ws.require_atlas()
+    real = valuation.valuate_all
+    calls = []
+
+    def counting(g, *args):
+        calls.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(valuation, "valuate_all", counting)
+    probes = [parse_laurent(e) for e in ["x1*x2", "x1*x2*x3", "x1 + x2"]]
+    checked = []
+    for limit in (1, 4, 720):
+        calls.clear()
+        checked.append(balanced_report(ws.ps, atlas, probes, limit=limit).orders_checked)
+        assert calls == probes
+    assert checked[:2] == [1, 4] and checked[2] > 4
+
+
 def test_dickson_smoke(gr24):
     # degree-bounded slices are generated by indecomposables of bounded degree
     fan = hodge_fan(gr24)

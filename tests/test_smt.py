@@ -120,6 +120,34 @@ def test_subduction_soundness_random_quadratics(gr24_setup):
             assert is_standard(mono.factors, ps)
 
 
+@pytest.mark.parametrize("expr", ["x14*x23", "x14*x23 + 2*x12*x34 - x13^2"])
+def test_subduction_one_valuation_pass_per_iteration(gr24_setup, monkeypatch, expr):
+    import stratval.smt as smt
+    import stratval.valuation as valuation
+
+    ps, atlas, ring, order, fan, reps = gr24_setup
+    calls = {"valuate_all": 0, "chain_valuation": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        valuation, "valuate_all", counting("valuate_all", valuation.valuate_all)
+    )
+    monkeypatch.setattr(smt, "valuate_all", valuation.valuate_all)
+    monkeypatch.setattr(
+        smt, "chain_valuation", counting("chain_valuation", smt.chain_valuation)
+    )
+    res = subduction(parse_laurent(expr), ring, atlas, fan, ps, order, reps)
+    assert len(res.terms) >= 2
+    # one pass over the input per term, one chain valuation of the
+    # representative product per term; the last iteration only finds zero
+    assert calls == {"valuate_all": len(res.terms), "chain_valuation": len(res.terms)}
+
+
 def test_subduction_rejects_zero_and_inhomogeneous(gr24_setup):
     ps, atlas, ring, order, fan, reps = gr24_setup
     with pytest.raises(SchemaError):
