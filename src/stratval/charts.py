@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from stratval.errors import ChartError, SchemaError
+from stratval.errors import ChartError, SchemaError, json_int
 from stratval.laurent import LaurentPoly, parse_laurent
 from stratval.poset import Chain, StratPoset
 
@@ -28,6 +28,10 @@ class ChainChart:
     # absolute order bound per variable for truncated-series charts; computed
     # vanishing orders beyond it are refused rather than trusted
     order_limits: dict[str, int] | None = None
+    # restricted_chain_functions(), set by check_bonds: a per-chart constant
+    restricted_fs: list[LaurentPoly] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def cone_var(self) -> str:
@@ -40,7 +44,7 @@ class ChainChart:
                 f"{self.order_limits[var]}; truncated data cannot decide it"
             )
 
-    def restricted_chain_functions(self, ps: StratPoset) -> list[LaurentPoly]:
+    def restricted_chain_functions(self) -> list[LaurentPoly]:
         """f_{p_k} restricted through the outer divisor variables, for each k.
 
         Checks on the way that f_{p_k} has order 0 along every outer divisor
@@ -62,7 +66,8 @@ class ChainChart:
         return out
 
     def check_bonds(self, ps: StratPoset) -> None:
-        """The defining property of the chart: divisor orders match the bonds."""
+        """The defining property of the chart: divisor orders match the bonds.
+        Keeps the restricted extremal functions in `restricted_fs`."""
         r = len(self.chain) - 1
         if len(self.divisor_vars) != r:
             raise ChartError(
@@ -72,7 +77,7 @@ class ChainChart:
         if not self.extra_vars:
             raise ChartError("chart needs a cone coordinate in extra_vars")
         bonds = ps.chain_bonds(self.chain)
-        fs = self.restricted_chain_functions(ps)
+        fs = self.restricted_chain_functions()
         for k in range(r):
             got = fs[k].min_exponent(self.divisor_vars[k])
             if got != bonds[k]:
@@ -91,6 +96,7 @@ class ChainChart:
             raise ChartError(
                 f"f[{self.chain[r]}] has cone order {got}, degree says {bonds[r]}"
             )
+        self.restricted_fs = fs
 
     @staticmethod
     def from_json(doc: dict) -> "ChainChart":
@@ -104,7 +110,9 @@ class ChainChart:
                 ambient_map={
                     k: parse_laurent(v) for k, v in doc["ambient_map"].items()
                 },
-                order_limits={k: int(v) for k, v in limits.items()} if limits else None,
+                order_limits=(
+                    {k: json_int(v) for k, v in limits.items()} if limits else None
+                ),
             )
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad chart document: {e}") from None

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the integer check the JSON
+loaders share.
 
 The CLI maps these onto exit codes: ValidationFailure -> 1,
 SchemaError -> 2, BoundError -> 3.
@@ -25,3 +26,11 @@ class ChartError(StratvalError):
 class BoundError(StratvalError):
     """A configured enumeration bound would be exceeded; refused rather than
     attempted."""
+
+
+def json_int(value) -> int:
+    """`value` if it is a JSON integer.  `int()` would truncate 1.5 and accept
+    true and "2"; raises TypeError, which each loader reports as a SchemaError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value

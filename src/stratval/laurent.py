@@ -157,15 +157,20 @@ class LaurentPoly:
     def substitute(self, table: dict[str, "LaurentPoly"]) -> "LaurentPoly":
         """Map each variable through table (missing names are an error).
         Exponents must be nonnegative for substituted variables."""
+        powers: dict[tuple[str, int], LaurentPoly] = {}
         total = LaurentPoly.zero()
         for m, c in self.terms.items():
             term = LaurentPoly.const(c)
             for v, e in m:
-                if v not in table:
-                    raise SchemaError(f"unknown variable {v!r} in substitution")
-                if e < 0:
-                    raise SchemaError(f"negative exponent on {v!r} cannot be substituted")
-                term = term * (table[v] ** e)
+                if (v, e) not in powers:
+                    if v not in table:
+                        raise SchemaError(f"unknown variable {v!r} in substitution")
+                    if e < 0:
+                        raise SchemaError(
+                            f"negative exponent on {v!r} cannot be substituted"
+                        )
+                    powers[v, e] = table[v] ** e
+                term = term * powers[v, e]
             total = total + term
         return total
 
@@ -244,8 +249,9 @@ def parse_laurent(text: str) -> LaurentPoly:
 class LaurentFraction:
     """Formal quotient num/den of Laurent polynomials; den is never zero.
 
-    The valuation recursion produces genuine rational functions; keeping them
-    as unreduced pairs avoids multivariate division entirely.
+    Used by `valuation.rees_min` for orders and restrictions along divisors.
+    The valuation recursion does not use it: it carries its rational
+    functions as factors with exponents (see `valuation`).
     """
 
     __slots__ = ("num", "den")
@@ -260,22 +266,6 @@ class LaurentFraction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def __mul__(self, other: "LaurentFraction") -> "LaurentFraction":
-        return LaurentFraction(self.num * other.num, self.den * other.den)
-
-    def mul_poly(self, p: LaurentPoly) -> "LaurentFraction":
-        return LaurentFraction(self.num * p, self.den)
-
-    def div_poly(self, p: LaurentPoly) -> "LaurentFraction":
-        if p.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        return LaurentFraction(self.num, self.den * p)
-
-    def __pow__(self, n: int) -> "LaurentFraction":
-        if n < 0:
-            return LaurentFraction(self.den, self.num) ** (-n)
-        return LaurentFraction(self.num**n, self.den**n)
 
     def min_exponent(self, var: str) -> int:
         """Vanishing order along {var = 0}: exact because the Laurent ring is a

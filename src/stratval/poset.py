@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from stratval.avector import TotalOrder
-from stratval.errors import SchemaError, ValidationFailure
+from stratval.errors import SchemaError, ValidationFailure, json_int
 
 Chain = tuple[str, ...]  # ids, strictly decreasing top-down
 
@@ -250,9 +250,9 @@ class StratPoset:
             elements = [
                 (e["id"], e.get("label", e["id"])) for e in doc["elements"]
             ]
-            fdeg = {e["id"]: int(e["fdeg"]) for e in doc["elements"]}
+            fdeg = {e["id"]: json_int(e["fdeg"]) for e in doc["elements"]}
             covers = [
-                (c["upper"], c["lower"], int(c["bond"])) for c in doc["covers"]
+                (c["upper"], c["lower"], json_int(c["bond"])) for c in doc["covers"]
             ]
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad stratification document: {e}") from None

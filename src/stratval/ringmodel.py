@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from stratval.errors import BoundError, SchemaError
+from stratval.errors import BoundError, SchemaError, json_int
 from stratval.laurent import LaurentPoly, Monomial, parse_laurent
 
 SLICE_GUARD = 50_000
@@ -147,7 +147,7 @@ class GradedQuotient:
     @staticmethod
     def from_json(doc: dict) -> "GradedQuotient":
         try:
-            variables = [(v["name"], int(v["degree"])) for v in doc["vars"]]
+            variables = [(v["name"], json_int(v["degree"])) for v in doc["vars"]]
             relations = [parse_laurent(r) for r in doc.get("relations", [])]
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad ring document: {e}") from None

@@ -7,6 +7,12 @@ function, restricted to the next divisor.  Reading the divisor orders off
 that sequence and rescaling by running bond products gives the chain value
 in Q^chain; the quasi-valuation is the lexicographic minimum of the chain
 values over all maximal chains.
+
+No power is ever expanded.  The Laurent ring is a domain, so divisor orders
+add up over a product and the lowest-order part along a divisor is
+multiplicative.  Each entry of the sequence is therefore carried in factored
+form, as a list of restricted factors h_i with integer exponents e_i standing
+for the product of the h_i**e_i.
 """
 
 from __future__ import annotations
@@ -20,12 +26,14 @@ from stratval.errors import ChartError, SchemaError
 from stratval.laurent import LaurentFraction, LaurentPoly
 from stratval.poset import Chain, StratPoset
 
+Factors = list[tuple[LaurentPoly, int]]
+
 
 @dataclass
 class ValResult:
     value: AVector                     # embedded in Q^A
     chain: Chain
-    sequence: list[LaurentFraction]    # g_r, ..., g_0
+    sequence: list[Factors]            # g_r, ..., g_0, each as factors
     D: list[Fraction]                  # per-level entries, top-down
     nus: list[int]                     # raw divisor orders
     lc: Fraction                       # iterated leading coefficient
@@ -34,49 +42,94 @@ class ValResult:
         return list(self.D)
 
 
+def _order(factors: Factors, var: str) -> int:
+    return sum(e * h.min_exponent(var) for h, e in factors)
+
+
+def _product_variables(factors: Factors) -> set[str]:
+    """The variables of the product of h**e over factors with e > 0, read
+    without expanding it: in a domain the least and the greatest exponent of
+    each variable add up over a product."""
+    out = set()
+    for v in set().union(*(h.variables() for h, _ in factors)):
+        lo = hi = 0
+        for h, e in factors:
+            exps = [dict(m).get(v, 0) for m in h.terms]
+            lo += e * min(exps)
+            hi += e * max(exps)
+        if lo or hi:
+            out.add(v)
+    return out
+
+
+def _leading_constant(factors: Factors, var: str) -> Fraction:
+    """The product of the lowest parts along var raised to their exponents,
+    which must be a constant: each part a single term, and the monomials of
+    those terms cancelling."""
+    lc = Fraction(1)
+    mono: dict[str, int] = {}
+    for h, e in factors:
+        low = h.lowest_part(var)
+        if len(low.terms) != 1:
+            raise ChartError("fraction is not constant")
+        ((m, c),) = low.terms.items()
+        lc *= c**e
+        for v, x in m:
+            mono[v] = mono.get(v, 0) + e * x
+    if any(mono.values()):
+        raise ChartError("fraction is not constant")
+    return lc
+
+
 def sequence_of_functions(
     g: LaurentPoly, chart: ChainChart, ps: StratPoset
 ) -> ValResult:
     """Run the valuation recursion for g along the chart's chain."""
-    cur = LaurentFraction(g)
-    if cur.is_zero():
+    if g.is_zero():
         raise ChartError("cannot valuate the zero function")
     chain = chart.chain
     bonds = ps.chain_bonds(chain)
-    fs = chart.restricted_chain_functions(ps)
-    sequence = [cur]
+    if chart.restricted_fs is None:
+        chart.check_bonds(ps)
+    fs = chart.restricted_fs
+    factors: Factors = [(g, 1)]
+    sequence = [factors]
     nus: list[int] = []
     D: list[Fraction] = []
     denom = 1
     for k, var in enumerate(chart.divisor_vars):
         b = bonds[k]
         denom *= b
-        nu = cur.min_exponent(var)
+        nu = _order(factors, var)
         chart.check_order(var, nu)
         nus.append(nu)
         D.append(Fraction(nu, denom))
-        nxt = cur**b
-        if nu > 0:
-            nxt = nxt.div_poly(fs[k] ** nu)
-        elif nu < 0:
-            nxt = nxt.mul_poly(fs[k] ** (-nu))
-        cur = nxt.restrict(var)
-        sequence.append(cur)
-    leftover = (cur.num.variables() | cur.den.variables()) - {chart.cone_var}
+        # g_k**b / f_k**nu has order b*nu - nu*ord(f_k) along var
+        if b * nu - nu * fs[k].min_exponent(var) != 0:
+            raise ChartError(
+                f"restriction to {{{var}=0}} of a function with nonzero order"
+            )
+        nxt = [(h, e * b) for h, e in factors]
+        if nu:
+            nxt.append((fs[k], -nu))
+        factors = [(h.lowest_part(var), e) for h, e in nxt]
+        sequence.append(factors)
+    leftover = (
+        _product_variables([(h, e) for h, e in factors if e > 0])
+        | _product_variables([(h, -e) for h, e in factors if e < 0])
+    ) - {chart.cone_var}
     if leftover:
         raise ChartError(
             f"restriction left extra variables {sorted(leftover)}; "
             "the chart cannot evaluate this function"
         )
-    nu0 = cur.min_exponent(chart.cone_var)
+    nu0 = _order(factors, chart.cone_var)
     denom *= bonds[-1]
     nus.append(nu0)
     D.append(Fraction(nu0, denom))
-    lead = LaurentFraction(
-        cur.num, cur.den * LaurentPoly.var(chart.cone_var, nu0)
-    ).restrict(chart.cone_var)
     value = AVector({p: D[i] for i, p in enumerate(chain)})
-    return ValResult(value, chain, sequence, D, nus, lead.as_constant())
+    lc = _leading_constant(factors, chart.cone_var)
+    return ValResult(value, chain, sequence, D, nus, lc)
 
 
 def ambient_image(g: LaurentPoly, chart: ChainChart) -> LaurentPoly:

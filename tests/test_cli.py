@@ -176,21 +176,27 @@ def _corrupted_copy(tmp_path, name, rel, mutate):
     return str(root)
 
 
+INTEGER_FIELDS = {
+    "fdeg": ("gr24", "stratification.json",
+             lambda d, v: d["elements"][0].update(fdeg=v)),
+    "bond": ("gr24", "stratification.json",
+             lambda d, v: d["covers"][0].update(bond=v)),
+    "ring_degree": ("gr24", "ring.json", lambda d, v: d["vars"][0].update(degree=v)),
+    "order_limits": ("elliptic1", "charts/chain_X1_X0.json",
+                     lambda d, v: d["order_limits"].update(u=v)),
+}
+# int() accepts all but the first, reading 1, 1 and 2
+NON_INTEGERS = {"": "x", "-float": 1.5, "-bool": True, "-string": "2"}
+
+
 @pytest.mark.parametrize(
-    "name,rel,mutate",
-    [
-        ("gr24", "stratification.json",
-         lambda d: d["elements"][0].update(fdeg="x")),
-        ("gr24", "stratification.json",
-         lambda d: d["covers"][0].update(bond="x")),
-        ("gr24", "ring.json", lambda d: d["vars"][0].update(degree="x")),
-        ("elliptic1", "charts/chain_X1_X0.json",
-         lambda d: d["order_limits"].update(u="x")),
-    ],
-    ids=["fdeg", "bond", "ring_degree", "order_limits"],
+    "field,value",
+    [(f, v) for f in INTEGER_FIELDS for v in NON_INTEGERS.values()],
+    ids=[f + suffix for f in INTEGER_FIELDS for suffix in NON_INTEGERS],
 )
-def test_non_integer_field_is_a_schema_error(tmp_path, capsys, name, rel, mutate):
-    ws = _corrupted_copy(tmp_path, name, rel, mutate)
+def test_non_integer_field_is_a_schema_error(tmp_path, capsys, field, value):
+    name, rel, set_field = INTEGER_FIELDS[field]
+    ws = _corrupted_copy(tmp_path, name, rel, lambda d: set_field(d, value))
     code = main(["validate", "-w", ws])
     assert code == 2
     assert capsys.readouterr().err.startswith("schema error:")

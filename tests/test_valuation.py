@@ -1,11 +1,17 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratval.avector import AVector
+from stratval.charts import ChainChart
 from stratval.errors import ChartError
-from stratval.laurent import parse_laurent
+from stratval.laurent import LaurentFraction, LaurentPoly, parse_laurent
+from stratval.poset import StratPoset
 from stratval.valuation import (
+    ambient_image,
     chain_valuation,
     chains_attaining,
     quasi_valuation,
@@ -13,6 +19,7 @@ from stratval.valuation import (
     sequence_of_functions,
     valuate_all,
 )
+from stratval.workspace import bundled, load_workspace
 
 CHAIN_23 = ("34", "24", "23", "13", "12")
 CHAIN_14 = ("34", "24", "14", "13", "12")
@@ -123,3 +130,138 @@ def test_sequence_matches_paper_shapes(gr24, gr24_atlas):
     res = sequence_of_functions(chart.ambient_map["x14"], chart, gr24)
     assert len(res.sequence) == 5
     assert res.nus == [0, 1, -1, 1, 0]
+    for factors in res.sequence:
+        assert all(isinstance(h, LaurentPoly) and isinstance(e, int)
+                   for h, e in factors)
+
+
+def expanded_sequence(g: LaurentPoly, chart: ChainChart, ps):
+    """Reference recursion: (D, nus, lc) with every power expanded, g_k kept
+    as one fraction num/den."""
+    if g.is_zero():
+        raise ChartError("cannot valuate the zero function")
+    bonds = ps.chain_bonds(chart.chain)
+    fs = chart.restricted_chain_functions()
+    num, den = g, LaurentPoly.const(1)
+    nus: list[int] = []
+    D: list[Fraction] = []
+    denom = 1
+    for k, var in enumerate(chart.divisor_vars):
+        b = bonds[k]
+        denom *= b
+        nu = LaurentFraction(num, den).min_exponent(var)
+        chart.check_order(var, nu)
+        nus.append(nu)
+        D.append(Fraction(nu, denom))
+        num, den = num**b, den**b
+        if nu > 0:
+            den = den * fs[k] ** nu
+        elif nu < 0:
+            num = num * fs[k] ** (-nu)
+        cur = LaurentFraction(num, den).restrict(var)
+        num, den = cur.num, cur.den
+    leftover = (num.variables() | den.variables()) - {chart.cone_var}
+    if leftover:
+        raise ChartError(f"restriction left extra variables {sorted(leftover)}")
+    nu0 = LaurentFraction(num, den).min_exponent(chart.cone_var)
+    denom *= bonds[-1]
+    nus.append(nu0)
+    D.append(Fraction(nu0, denom))
+    lead = LaurentFraction(num, den * LaurentPoly.var(chart.cone_var, nu0))
+    return D, nus, lead.restrict(chart.cone_var).as_constant()
+
+
+def factored_or_error(g, chart, ps):
+    try:
+        res = sequence_of_functions(g, chart, ps)
+    except ChartError:
+        return ChartError
+    return res.D, res.nus, res.lc
+
+
+def expanded_or_error(g, chart, ps):
+    try:
+        return expanded_sequence(g, chart, ps)
+    except ChartError:
+        return ChartError
+
+
+EXACT_SETS = ["gr24", "sl3b", "pset_p2", "quadric", "torus_t2", "psl2"]
+
+
+@cache
+def workspace(name):
+    return load_workspace(bundled(name))
+
+
+@st.composite
+def monomials(draw, names, lo, hi):
+    exps = draw(st.lists(st.integers(lo, hi), min_size=len(names), max_size=len(names)))
+    return tuple((v, e) for v, e in zip(names, exps) if e)
+
+
+@st.composite
+def polys(draw, names, lo, hi):
+    terms = draw(st.lists(
+        st.tuples(monomials(names, lo, hi), st.integers(-3, 3).filter(bool)),
+        min_size=1, max_size=3,
+    ))
+    return LaurentPoly({m: Fraction(c) for m, c in terms})
+
+
+@pytest.mark.parametrize("name", EXACT_SETS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_factored_recursion_matches_expanded(name, data):
+    ws = workspace(name)
+    chart = ws.atlas[data.draw(st.sampled_from(sorted(ws.atlas)))]
+    ambient = data.draw(polys(sorted(chart.ambient_map), 0, 2))
+    # "q" is foreign to every chart: a function using it cannot be evaluated
+    foreign = data.draw(st.sampled_from([[], ["q"]]))
+    local = data.draw(polys(chart.divisor_vars + chart.extra_vars + foreign, -2, 2))
+    for g in (ambient_image(ambient, chart), local):
+        assert factored_or_error(g, chart, ws.ps) == expanded_or_error(g, chart, ws.ps)
+
+
+@pytest.mark.parametrize("name", ["elliptic1", "elliptic2"])
+def test_recursion_expands_no_power(name, monkeypatch):
+    ws = workspace(name)
+    images = [
+        (ambient_image(parse_laurent(text), chart), chart)
+        for text in ["x", "y", "z", "x*y + 2*z^2", "y^3 - x*z^2", "x^2*y*z + z^4"]
+        for chart in ws.atlas.values()
+    ]
+    pows = []
+    real_pow = LaurentPoly.__pow__
+    monkeypatch.setattr(
+        LaurentPoly, "__pow__", lambda self, n: pows.append(n) or real_pow(self, n)
+    )
+    restricts = []
+    monkeypatch.setattr(
+        ChainChart, "restricted_chain_functions", lambda self: restricts.append(self)
+    )
+    for image, chart in images:
+        assert factored_or_error(image, chart, ws.ps) is not ChartError
+    assert pows == []
+    assert restricts == []
+
+
+def test_factors_whose_variables_cancel():
+    # a chart with a second extra variable x, where f_1 = t*x: in g*f_1 with
+    # g = a/(t*x) the x of the two factors cancels, so the product is valued
+    ps = StratPoset([("1", "1"), ("0", "0")], [("1", "0", 1)], {"1": 1, "0": 1})
+    chart = ChainChart(
+        ("1", "0"), ["t"], ["a", "x"],
+        {"1": parse_laurent("t*x"), "0": parse_laurent("a")}, {},
+    )
+    chart.check_bonds(ps)
+    g = parse_laurent("a*t^-1*x^-1")
+    assert factored_or_error(g, chart, ps) == expanded_sequence(g, chart, ps)
+    assert factored_or_error(g, chart, ps) == ([-1, 1], [-1, 1], 1)
+    # x left in the product, at its lowest or at its highest exponent, is
+    # refused by both
+    for text in ["a*t^-1*x^-1 + a*t^-1*x^-2", "a*t^-1*x^-1 + a*t^-1"]:
+        h = parse_laurent(text)
+        for recursion in (sequence_of_functions, expanded_sequence):
+            with pytest.raises(ChartError, match=r"extra variables \['x'\]"):
+                recursion(h, chart, ps)
