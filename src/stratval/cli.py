@@ -163,7 +163,6 @@ def cmd_lspaths(type_name: str, lam_text: str, degree: int, tau: str | None) -> 
         RootSystem,
         bonds,
         character_check,
-        enumerate_ls,
         schubert_degree,
         weyl_group,
     )
@@ -174,8 +173,7 @@ def cmd_lspaths(type_name: str, lam_text: str, degree: int, tau: str | None) -> 
         raise SchemaError(f"cannot parse weight {lam_text!r}") from None
     rs = RootSystem.from_type(type_name)
     group = weyl_group(rs)
-    poset = bonds(rs, lam, group)
-    paths = enumerate_ls(rs, lam, degree, group=group, poset=poset)
+    poset = bonds(rs, lam, group)  # validates the weight before weyl_dim reads it
     report = character_check(rs, lam, degree, group=group)
     tau_id = tau or group.w0.id
     doc = {
@@ -183,7 +181,7 @@ def cmd_lspaths(type_name: str, lam_text: str, degree: int, tau: str | None) -> 
         "type": type_name,
         "lambda": list(lam),
         "degree": degree,
-        "count": len(paths),
+        "count": report.path_count,
         "dim": report.dim,
         "character_ok": report.ok,
         "character_discrepancies": report.discrepancies,
@@ -191,7 +189,7 @@ def cmd_lspaths(type_name: str, lam_text: str, degree: int, tau: str | None) -> 
             "tau": tau_id,
             "value": schubert_degree(rs, lam, tau_id, group, poset),
         },
-        "paths": [p.to_json() for p in paths],
+        "paths": [p.to_json() for p in report.paths],
     }
     _emit(doc)
     return 0 if report.ok else 1

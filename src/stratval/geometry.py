@@ -3,8 +3,8 @@
 The complex is the order complex of the poset realized with vertices
 e_p / deg f_p.  Each maximal simplex gets a rational structure: projecting
 away the bottom vertex and rewriting in a basis of the degree-zero sublattice
-turns lattice-point counts into ordinary Z^r counts, which is where the
-degree formula and the inclusion-exclusion Hilbert function live.
+turns lattice-point counts into ordinary Z^r counts for the degree formula.
+Hilbert functions are sums over faces; sums over chains are cover passes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,13 @@ from math import factorial
 
 from stratval.avector import AVector
 from stratval.errors import BoundError, SchemaError, ValidationFailure
-from stratval.monoids import LatticeQ, MonoidFan, is_saturated, lattice_LC
+from stratval.monoids import (
+    LatticeQ,
+    MonoidFan,
+    is_saturated,
+    lattice_LC,
+    weighted_compositions,
+)
 from stratval.poset import Chain, StratPoset
 
 EHRHART_GUARD = 10_000_000
@@ -145,18 +151,16 @@ def default_lattices(ps: StratPoset) -> dict[Chain, LatticeQ]:
 
 
 def hodge_degree(ps: StratPoset) -> Fraction:
-    """Sum over maximal chains of 1 / (product of the extremal degrees)."""
+    """Sum over maximal chains of 1 / (product of the extremal degrees), by
+    one pass over the covers."""
     bad = [e for e, b in ps.bond.items() if b != 1]
     bad += [(p, "origin") for p in ps.minimal_elements() if ps.fdeg[p] != 1]
     if bad:
         raise ValidationFailure(f"not of Hodge type: nontrivial bonds {sorted(bad)}")
-    total = Fraction(0)
-    for chain in ps.maximal_chains():
-        prod = 1
-        for p in chain:
-            prod *= ps.fdeg[p]
-        total += Fraction(1, prod)
-    return total
+    h = ps.chain_sums(
+        lambda p, q: Fraction(1, ps.fdeg[p]), lambda q: Fraction(1, ps.fdeg[q])
+    )
+    return sum((h[p] for p in ps.maximal_elements()), Fraction(0))
 
 
 def ehrhart_count(rs: RationalStructure, n: int) -> int:
@@ -227,28 +231,20 @@ def count_face_points(
     ps: StratPoset, face: Chain, lattice: LatticeQ, n: int
 ) -> int:
     """#{v >= 0 supported in the face, deg v = n, v in the lattice}."""
+    return _count_lattice_points(ps, face, lattice, n, 0)
+
+
+def _count_lattice_points(
+    ps: StratPoset, face: Chain, lattice: LatticeQ, n: int, low: int
+) -> int:
+    """Lattice points of degree n on the face with all entries >= low / den:
+    low 0 counts the closed face, low 1 its relative interior."""
     den = lattice.den
-    fdegs = [ps.fdeg[p] for p in face]
-    count = 0
-
-    def walk(i: int, remaining: int, acc: list[int]):
-        nonlocal count
-        if i == len(face):
-            if remaining == 0:
-                v = AVector(
-                    {p: Fraction(w, den) for p, w in zip(face, acc)}
-                )
-                if lattice.membership(v):
-                    count += 1
-            return
-        step = fdegs[i]
-        for w in range(0, remaining // step + 1):
-            acc.append(w)
-            walk(i + 1, remaining - w * step, acc)
-            acc.pop()
-
-    walk(0, n * den, [])
-    return count
+    scaled = weighted_compositions([ps.fdeg[p] for p in face], n * den, low)
+    return sum(
+        lattice.membership(AVector({p: Fraction(w, den) for p, w in zip(face, ws)}))
+        for ws in scaled
+    )
 
 
 def hilbert_incl_excl(
@@ -258,7 +254,16 @@ def hilbert_incl_excl(
     fan: MonoidFan | None = None,
     saturation_bound: int = 8,
 ) -> int:
-    """Alternating sum over chain subsets of shared-face lattice-point counts.
+    """Lattice points of degree n in the fan, one sum over the faces F of
+    the order complex.
+
+    For n > 0: the sum over F of #{v in L_C(F) : deg v = n, v_p > 0 exactly
+    on F}, where C(F) is the last chain in ps.maximal_chains() order that
+    contains F.  This equals inclusion-exclusion over the sets S of maximal
+    chains, each counting the v >= 0 on the meet of S in the lattice of the
+    first chain of S: the sets whose first chain contains F cancel unless no
+    later chain does.  It holds for any lattices, also ones that disagree on
+    F.  For n = 0 the value is the Euler characteristic, sum of (-1)^(|F|+1).
 
     Valid for normal (saturated) stratifications only; when a fan is supplied
     its chains are certified up to the bound first and the call refuses on a
@@ -274,19 +279,13 @@ def hilbert_incl_excl(
                     f"chain {'>'.join(chain)} is not saturated "
                     f"(witness {rep.witness}); inclusion-exclusion refused"
                 )
-    chains = ps.maximal_chains()
-    total = 0
-    for mask in range(1, 1 << len(chains)):
-        members = [chains[i] for i in range(len(chains)) if mask & (1 << i)]
-        shared = set(members[0])
-        for c in members[1:]:
-            shared &= set(c)
-        if not shared:
-            continue
-        face = tuple(p for p in members[0] if p in shared)
-        cnt = count_face_points(ps, face, lattices[members[0]], n)
-        total += cnt if len(members) % 2 == 1 else -cnt
-    return total
+    last_chain = ps.faces_with_last_chain()
+    if n == 0:
+        return sum((-1) ** (len(face) + 1) for face in last_chain)
+    return sum(
+        _count_lattice_points(ps, face, lattices[chain], n, 1)
+        for face, chain in last_chain.items()
+    )
 
 
 def sr_hilbert(ps: StratPoset, n: int) -> int:
@@ -296,16 +295,8 @@ def sr_hilbert(ps: StratPoset, n: int) -> int:
         raise SchemaError("sr_hilbert needs n >= 0")
     if n == 0:
         return 1
-    total = 0
-    for face in ps.order_complex():
-        total += _positive_compositions(n, [ps.fdeg[p] for p in face])
-    return total
-
-
-def _positive_compositions(n: int, weights: list[int]) -> int:
-    if not weights:
-        return 1 if n == 0 else 0
-    w, rest = weights[0], weights[1:]
     return sum(
-        _positive_compositions(n - k * w, rest) for k in range(1, n // w + 1)
+        1
+        for face in ps.order_complex()
+        for _ in weighted_compositions([ps.fdeg[p] for p in face], n, 1)
     )

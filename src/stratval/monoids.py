@@ -96,9 +96,15 @@ class LatticeQ:
 
 def lattice_LC(ps: StratPoset, chain: Chain) -> LatticeQ:
     """The bond lattice: e_{p_j} / (b_r ... b_j), including the bottom degree."""
-    if chain not in ps.maximal_chains():
+    try:  # from a maximal to a minimal element through covers
+        bonds = ps.chain_bonds(chain)
+        maximal = isinstance(chain, tuple) and not (
+            ps.covered_by[chain[0]] or ps.covers_of[chain[-1]]
+        )
+    except (IndexError, KeyError, TypeError, SchemaError):
+        maximal = False
+    if not maximal:
         raise SchemaError(f"{'>'.join(chain)} is not a maximal chain")
-    bonds = ps.chain_bonds(chain)
     vecs = []
     running = 1
     for p, b in zip(chain, bonds):
@@ -240,6 +246,19 @@ class SaturationReport:
         return self.saturated
 
 
+def weighted_compositions(weights: list[int], total: int, low: int = 0):
+    """Every integer tuple w with all w_i >= low and sum of w_i * weights_i
+    equal to total, in lexicographic order; the weights are positive."""
+    if not weights:
+        if total == 0:
+            yield ()
+        return
+    head, rest = weights[0], weights[1:]
+    for w in range(low, (total - low * sum(rest)) // head + 1):
+        for tail in weighted_compositions(rest, total - w * head, low):
+            yield (w, *tail)
+
+
 def is_saturated(
     fan: MonoidFan, chain: Chain, bound: int = 8
 ) -> SaturationReport:
@@ -249,24 +268,9 @@ def is_saturated(
     fdeg = fan.ps.fdeg
     lat = lattice_generated(gens, chain)
     den = lat.den
-    fdegs = [fdeg[p] for p in chain]
-
-    def enumerate_scaled(i: int, remaining: int, acc: list[int]):
-        if i == len(chain):
-            if remaining == 0:
-                yield list(acc)
-            return
-        step = fdegs[i]
-        for w in range(0, remaining // step + 1):
-            acc.append(w)
-            yield from enumerate_scaled(i + 1, remaining - w * step, acc)
-            acc.pop()
-
-    for total in range(0, bound * den + 1):
-        for scaled in enumerate_scaled(0, total, []):
+    for total in range(1, bound * den + 1):
+        for scaled in weighted_compositions([fdeg[p] for p in chain], total):
             v = AVector({p: Fraction(w, den) for p, w in zip(chain, scaled)})
-            if v.is_zero():
-                continue
             if lat.membership(v) and not monoid_membership(v, gens, fdeg):
                 return SaturationReport(chain, False, bound, v)
     return SaturationReport(chain, True, bound, None)
@@ -283,8 +287,13 @@ def indecomposables(
 ) -> list[AVector]:
     """Nonzero monoid elements of degree <= max_degree admitting no ordered split."""
     gens = fan.generators[chain]
-    fdeg = fan.ps.fdeg
-    elements = _monoid_elements_up_to(gens, fdeg, Fraction(max_degree))
+    elements = _monoid_elements_up_to(gens, fan.ps.fdeg, Fraction(max_degree))
+    return _unsplit(elements, chain)
+
+
+def _unsplit(elements: set[AVector], chain: Chain) -> list[AVector]:
+    """The nonzero elements of a degree-bounded slice of a chain monoid that
+    are no ordered sum of two nonzero elements of the slice."""
     nonzero = sorted((v for v in elements if not v.is_zero()), key=AVector.key)
     out = []
     for a in nonzero:
@@ -309,6 +318,7 @@ def decompose(a: AVector, fan: MonoidFan, chain: Chain) -> list[AVector]:
     """Ordered decomposition into indecomposables, top factor first.
 
     Unique when the chain monoid is saturated; deterministic regardless.
+    Membership and the indecomposables read one enumeration of the monoid.
     """
     gens = fan.generators[chain]
     fdeg = fan.ps.fdeg
@@ -316,11 +326,11 @@ def decompose(a: AVector, fan: MonoidFan, chain: Chain) -> list[AVector]:
         return []
     if not a.support() <= set(chain):
         raise SchemaError(f"{a} is not supported in the chain")
-    if not monoid_membership(a, gens, fdeg):
-        raise SchemaError(f"{a} is not an element of the chain monoid")
     total = degree_of(a, fdeg)
-    indec = indecomposables(fan, chain, int(total))
     elements = _monoid_elements_up_to(gens, fdeg, total)
+    if a not in elements:
+        raise SchemaError(f"{a} is not an element of the chain monoid")
+    indec = _unsplit({v for v in elements if degree_of(v, fdeg) <= int(total)}, chain)
 
     def split(v: AVector, cap: int | None) -> list[AVector] | None:
         if v.is_zero():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from stratval.avector import TotalOrder
 from stratval.errors import SchemaError, ValidationFailure, json_int
@@ -142,21 +142,15 @@ class StratPoset:
             self._length = lens
         return self._length[p]
 
-    def maximal_chains_below(self, p: str) -> list[Chain]:
-        out: list[Chain] = []
-
-        def walk(q: str, acc: list[str]):
-            acc.append(q)
-            lows = sorted(x for x, _ in self.covers_of[q])
-            if not lows:
-                out.append(tuple(acc))
-            else:
-                for x in lows:
-                    walk(x, acc)
-            acc.pop()
-
-        walk(p, [])
-        return out
+    def chain_sums(self, cover: Callable, bottom: Callable) -> dict:
+        """For each p, the sum over the maximal chains below p of the product
+        of cover(u, l) over their cover pairs and bottom(q) at their minimal
+        element q, by one pass over the covers."""
+        s: dict = {}
+        for p in self._topo_bottom_up():
+            lows = self.covers_of[p]
+            s[p] = sum(cover(p, q) * s[q] for q, _ in lows) if lows else bottom(p)
+        return s
 
     def chains_through(self, subset: Iterable[str]) -> list[Chain]:
         """Maximal chains containing every element of the subset."""
@@ -168,12 +162,17 @@ class StratPoset:
 
     def order_complex(self) -> list[Chain]:
         """All nonempty chains (faces of the order complex), top-down."""
-        faces: set[Chain] = set()
+        return sorted(self.faces_with_last_chain(), key=lambda f: (len(f), f))
+
+    def faces_with_last_chain(self) -> dict[Chain, Chain]:
+        """Each face of the order complex with the last maximal chain, in
+        maximal_chains() order, that contains it."""
+        last: dict[Chain, Chain] = {}
         for c in self.maximal_chains():
             n = len(c)
             for mask in range(1, 1 << n):
-                faces.add(tuple(c[i] for i in range(n) if mask & (1 << i)))
-        return sorted(faces, key=lambda f: (len(f), f))
+                last[tuple(c[i] for i in range(n) if mask & (1 << i))] = c
+        return last
 
     def chain_bonds(self, chain: Chain) -> list[int]:
         """Bonds along a maximal chain, top-down: [b_r, ..., b_1, b_0].

@@ -578,9 +578,13 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
 @dataclass
 class CharacterReport:
     ok: bool
-    path_count: int
+    paths: list[LSPath]        # the enumerated paths the check compared
     dim: int
     discrepancies: list[str]
+
+    @property
+    def path_count(self) -> int:
+        return len(self.paths)
 
 
 CHARACTER_DIM_BOUND = 100_000
@@ -590,11 +594,14 @@ def character_check(rs: RootSystem, lam: Weight, m: int,
                     group: WeylGroup | None = None) -> CharacterReport:
     """Compare the multiset of path endpoint weights with the Freudenthal
     character of the m-fold dilated weight."""
+    if m < 0:
+        raise SchemaError("degree must be nonnegative")
     group = group or weyl_group(rs)
     dilated = tuple(m * x for x in lam)
-    if weyl_dim(rs, dilated) > CHARACTER_DIM_BOUND:
+    dim = weyl_dim(rs, dilated)
+    if dim > CHARACTER_DIM_BOUND:
         raise BoundError(
-            f"character comparison refused: dim {weyl_dim(rs, dilated)} exceeds "
+            f"character comparison refused: dim {dim} exceeds "
             f"{CHARACTER_DIM_BOUND}"
         )
     paths = enumerate_ls(rs, lam, m, group=group)
@@ -602,31 +609,24 @@ def character_check(rs: RootSystem, lam: Weight, m: int,
     for path in paths:
         w = weight(path, group, lam) if path.dirs else tuple(0 for _ in lam)
         got[w] = got.get(w, 0) + 1
-    target = freudenthal_character(rs, tuple(m * x for x in lam))
+    target = freudenthal_character(rs, dilated)
     discrepancies = []
     for w in sorted(set(got) | set(target)):
         a, b = got.get(w, 0), target.get(w, 0)
         if a != b:
             discrepancies.append(f"weight {w}: paths {a}, character {b}")
-    dim = weyl_dim(rs, tuple(m * x for x in lam))
     if len(paths) != dim:
         discrepancies.append(f"path count {len(paths)} != dim {dim}")
-    return CharacterReport(not discrepancies, len(paths), dim, discrepancies)
+    return CharacterReport(not discrepancies, paths, dim, discrepancies)
 
 
 def schubert_degree(rs: RootSystem, lam: Weight, tau: str,
                     group: WeylGroup | None = None,
                     poset: StratPoset | None = None) -> int:
     """Sum over the maximal chains below tau of the product of their bonds."""
-    group = group or weyl_group(rs)
-    poset = poset if poset is not None else bonds(rs, lam, group)
+    if poset is None:
+        poset = bonds(rs, lam, group or weyl_group(rs))
     tau_id = tau or "e"
     if tau_id not in poset.covers_of:
         raise SchemaError(f"unknown Weyl element {tau!r}")
-    total = 0
-    for chain in poset.maximal_chains_below(tau_id):
-        prod = 1
-        for k in range(len(chain) - 1):
-            prod *= poset.bond[(chain[k], chain[k + 1])]
-        total += prod
-    return total
+    return poset.chain_sums(lambda p, q: poset.bond[(p, q)], lambda q: 1)[tau_id]

@@ -130,6 +130,26 @@ def test_lspaths(capsys):
     assert doc["schubert_degree"] == {"tau": "121", "value": 6}
 
 
+def test_lspaths_enumerates_paths_once(capsys, monkeypatch):
+    import stratval.weyl as weyl
+
+    calls = []
+    enumerate_ls = weyl.enumerate_ls
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_ls(*args, **kwargs)
+
+    monkeypatch.setattr(weyl, "enumerate_ls", counting)
+    code, out = run(
+        capsys, "lspaths", "--type", "B2", "--lambda", "1,1", "--degree", "2"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert len(calls) == 1
+    assert doc["count"] == doc["dim"] == len(doc["paths"])
+
+
 def test_lspaths_tau(capsys):
     code, out = run(
         capsys, "lspaths", "--type", "A1", "--lambda", "4", "--degree", "1",
@@ -144,6 +164,16 @@ def test_lspaths_bad_weight(capsys):
     assert code == 2
     code, _ = run(capsys, "lspaths", "--type", "A2", "--lambda", "1,0")
     assert code == 1
+
+
+@pytest.mark.parametrize("degree", ["-1", "-100"])
+def test_lspaths_negative_degree_is_a_schema_error(capsys, degree):
+    # B2 has four positive roots: at -100 the Weyl dimension is positive and
+    # above the character bound, so the refusal must come first
+    code, _ = run(
+        capsys, "lspaths", "--type", "B2", "--lambda", "1,1", "--degree", degree
+    )
+    assert code == 2
 
 
 def test_generic(capsys, tmp_path):

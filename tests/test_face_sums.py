@@ -1,0 +1,195 @@
+"""Face and cover sums against their chain-list oracles.
+
+`hilbert_incl_excl` is one sum over the faces of the order complex, and the
+Schubert and Hodge degrees are one pass over the covers; `chain_oracles`
+keeps the inclusion-exclusion over sets of maximal chains and the sums over
+listed chains they must equal.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chain_oracles import (
+    bond_product_sum,
+    hilbert_by_chain_subsets,
+    hodge_degree_by_chains,
+)
+from stratval.errors import ValidationFailure
+from stratval.geometry import default_lattices, hilbert_incl_excl, hodge_degree
+from stratval.monoids import LatticeQ
+from stratval.poset import StratPoset, generic_model
+from stratval.weyl import (
+    RootSystem,
+    bonds,
+    lattice_LC_lambda,
+    schubert_degree,
+    weyl_group,
+)
+from stratval.workspace import bundled, load_workspace
+
+BUNDLED = [
+    "elliptic1", "elliptic2", "gr24", "psl2", "pset_p2", "quadric", "sl3b",
+    "torus_t2",
+]
+
+
+@st.composite
+def layered_posets(draw):
+    """Graded posets level by level: 1-2 maximal elements, levels of width
+    1-3, each element covering 1-2 elements one level down and every element
+    below the top covered; bonds 1-3 and degrees 1-3."""
+    r = draw(st.integers(0, 2))
+    widths = [draw(st.integers(1, 3)) for _ in range(r)] + [draw(st.integers(1, 2))]
+    levels = [[f"v{k}{i}" for i in range(w)] for k, w in enumerate(widths)]
+    pairs: set[tuple[str, str]] = set()
+    for lower, upper in zip(levels, levels[1:]):
+        for u in upper:
+            picks = draw(st.sets(st.sampled_from(lower), min_size=1, max_size=2))
+            pairs |= {(u, l) for l in picks}
+        for l in lower:
+            if not any(pl == l for _, pl in pairs):
+                pairs.add((draw(st.sampled_from(upper)), l))
+    ids = [p for level in levels for p in level]
+    covers = [(u, l, draw(st.integers(1, 3))) for u, l in sorted(pairs)]
+    fdeg = {p: draw(st.integers(1, 3)) for p in ids}
+    return StratPoset([(p, p) for p in ids], covers, fdeg)
+
+
+def bond_sums(ps: StratPoset) -> dict:
+    """The cover pass `weyl.schubert_degree` reads, on any bonded poset."""
+    return ps.chain_sums(lambda p, q: ps.bond[(p, q)], lambda q: 1)
+
+
+def hodge_copy(ps: StratPoset) -> StratPoset:
+    """The same covers with every bond 1 and degree 1 on minimal elements."""
+    minimal = set(ps.minimal_elements())
+    return StratPoset(
+        [(p, p) for p in ps.ids],
+        [(u, l, 1) for (u, l) in ps.bond],
+        {p: 1 if p in minimal else ps.fdeg[p] for p in ps.ids},
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(layered_posets(), st.booleans())
+def test_face_and_cover_sums_match_chain_oracles(ps, cut_lattices):
+    chains = ps.maximal_chains()
+    if cut_lattices:
+        lattices = {c: lattice_LC_lambda(ps, c) for c in chains}
+    else:
+        lattices = default_lattices(ps)
+    if len(chains) <= 6:
+        for n in range(4):
+            assert hilbert_incl_excl(ps, lattices, n) == hilbert_by_chain_subsets(
+                ps, lattices, n
+            )
+    assert bond_sums(ps) == {p: bond_product_sum(ps, p) for p in ps.ids}
+    hodge = hodge_copy(ps)
+    assert hodge_degree(hodge) == hodge_degree_by_chains(hodge)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_face_sum_matches_chain_subsets_on_bundled_sets(name):
+    ps = load_workspace(bundled(name)).ps
+    lattices = default_lattices(ps)
+    for n in range(5):
+        assert hilbert_incl_excl(ps, lattices, n) == hilbert_by_chain_subsets(
+            ps, lattices, n
+        )
+
+
+@pytest.mark.parametrize("s,r", [(s, r) for s in range(3, 8) for r in (2, 3)])
+def test_face_sum_matches_chain_subsets_on_generic_models(s, r):
+    ps = generic_model(s, r)
+    lattices = default_lattices(ps)
+    for n in range(5):
+        assert hilbert_incl_excl(ps, lattices, n) == hilbert_by_chain_subsets(
+            ps, lattices, n
+        )
+
+
+@pytest.mark.parametrize("type_name", ["A2", "B2"])
+def test_face_sum_matches_chain_subsets_on_cut_lattices(type_name):
+    rs = RootSystem.from_type(type_name)
+    ps = bonds(rs, (1, 1), weyl_group(rs))
+    lattices = {c: lattice_LC_lambda(ps, c) for c in ps.maximal_chains()}
+    for n in range(4):
+        assert hilbert_incl_excl(ps, lattices, n) == hilbert_by_chain_subsets(
+            ps, lattices, n
+        )
+
+
+def test_euler_characteristic_at_degree_zero():
+    one_top = generic_model(3, 2)
+    two_chains = StratPoset(
+        [(p, p) for p in ("a1", "a0", "b1", "b0")],
+        [("a1", "a0", 1), ("b1", "b0", 2)],
+        {"a1": 1, "a0": 1, "b1": 1, "b0": 1},
+    )
+    crown = StratPoset(
+        [(p, p) for p in ("t1", "t2", "x", "y")],
+        [("t1", "x", 1), ("t1", "y", 2), ("t2", "x", 3), ("t2", "y", 1)],
+        {p: 1 for p in ("t1", "t2", "x", "y")},
+    )
+    for ps, chi in ((one_top, 1), (two_chains, 2), (crown, 0)):
+        lattices = default_lattices(ps)
+        assert hilbert_incl_excl(ps, lattices, 0) == chi
+        assert hilbert_by_chain_subsets(ps, lattices, 0) == chi
+
+
+@pytest.mark.parametrize("type_name", ["A2", "B2", "G2", "A3"])
+def test_schubert_cover_pass_matches_chain_list(type_name):
+    rs = RootSystem.from_type(type_name)
+    group = weyl_group(rs)
+    lam = (1,) * rs.rank
+    ps = bonds(rs, lam, group)
+    for tau in ps.ids:
+        assert schubert_degree(rs, lam, tau, group, ps) == bond_product_sum(ps, tau)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_hodge_cover_pass_matches_chain_list(name):
+    ps = load_workspace(bundled(name)).ps
+    try:
+        got = hodge_degree(ps)
+    except ValidationFailure as e:
+        assert "not of Hodge type" in str(e)
+        assert any(b != 1 for b in ps.bond.values()) or any(
+            ps.fdeg[p] != 1 for p in ps.minimal_elements()
+        )
+        return
+    assert got == hodge_degree_by_chains(ps)
+
+
+def test_one_membership_test_per_positive_composition(monkeypatch):
+    """Each face tests only the points of its relative interior: at most one
+    lattice-membership call per positive weighted composition of n * den."""
+    ps = load_workspace(bundled("torus_t2")).ps
+    lattices = default_lattices(ps)
+    n = 4
+    bound = 0
+    for face, chain in ps.faces_with_last_chain().items():
+        target = n * lattices[chain].den
+        weights = [ps.fdeg[p] for p in face]
+        bound += sum(
+            1
+            for w in product(range(1, target + 1), repeat=len(face))
+            if sum(a * b for a, b in zip(w, weights)) == target
+        )
+    expected = hilbert_by_chain_subsets(ps, lattices, n)
+    calls = 0
+    membership = LatticeQ.membership
+
+    def counting(self, v):
+        nonlocal calls
+        calls += 1
+        return membership(self, v)
+
+    monkeypatch.setattr(LatticeQ, "membership", counting)
+    assert hilbert_incl_excl(ps, lattices, n) == expected
+    assert calls <= bound

@@ -46,6 +46,27 @@ def test_lattice_LC_all_bonds_one(gr24):
         lattice_LC(gr24, ("34", "23"))
 
 
+def test_lattice_LC_checks_the_chain_without_listing_chains(gr24, monkeypatch):
+    """Exactly the members of maximal_chains() are accepted, and the check
+    reads the chain's own covers instead of re-listing every chain."""
+    chains = gr24.maximal_chains()
+    candidates = [
+        (), ("34",), ("24", "23", "13", "12"), ("34", "24", "23", "13"),
+        ("34", "24", "13", "12"), ("34", "23", "24", "13", "12"),
+        ("34", "24", "23", "13", "nope"),
+        list(chains[0]), chains[0] + ("12",),
+    ]
+    monkeypatch.setattr(
+        StratPoset, "maximal_chains",
+        lambda self: pytest.fail("lattice_LC listed the maximal chains"),
+    )
+    for chain in chains:
+        assert lattice_LC(gr24, chain).coords == chain
+    for bad in candidates:
+        with pytest.raises(SchemaError, match="is not a maximal chain"):
+            lattice_LC(gr24, bad)
+
+
 def test_lattice_LC_elliptic_bond_three():
     ps = elliptic_poset()
     lat = lattice_LC(ps, ("X1", "X0"))
@@ -160,6 +181,32 @@ def test_decompose_hodge(gr24):
     assert got == [AVector.unit("34"), AVector.unit("12")]
     with pytest.raises(SchemaError):
         decompose(AVector.unit("14") + AVector.unit("23"), fan, chain)
+
+
+def test_decompose_enumerates_the_chain_monoid_once(gr24, monkeypatch):
+    import stratval.monoids as monoids
+
+    fan = hodge_fan(gr24)
+    chain = ("34", "24", "23", "13", "12")
+    builds = []
+    elements_up_to = monoids._monoid_elements_up_to
+
+    def counting(gens, fdeg, bound):
+        builds.append(bound)
+        return elements_up_to(gens, fdeg, bound)
+
+    monkeypatch.setattr(monoids, "_monoid_elements_up_to", counting)
+    monkeypatch.setattr(
+        monoids, "monoid_membership",
+        lambda *a: pytest.fail("decompose searched for membership"),
+    )
+    a = AVector.unit("13") + AVector.unit("24") + AVector.unit("12")
+    assert decompose(a, fan, chain) == [
+        AVector.unit("24"), AVector.unit("13"), AVector.unit("12")
+    ]
+    assert builds == [3]
+    with pytest.raises(SchemaError, match="not an element of the chain monoid"):
+        decompose(AVector.unit("13", Fraction(1, 2)), fan, chain)
 
 
 def test_decompose_resums_and_elliptic_cubic():
