@@ -1,9 +1,10 @@
 """Newton-Okounkov simplicial complexes, volumes, degrees, Hilbert counting.
 
 The complex is the order complex of the poset realized with vertices
-e_p / deg f_p.  Each maximal simplex gets a rational structure: projecting
-away the bottom vertex and rewriting in a basis of the degree-zero sublattice
-turns lattice-point counts into ordinary Z^r counts for the degree formula.
+e_p / deg f_p.  The volume of each maximal simplex, measured in its chain's
+lattice, is read off the Hermite normal form of that lattice.  The rational
+structure (the bottom vertex projected away, the rest rewritten in a basis of
+the degree-zero sublattice) serves Ehrhart counting and the tests only.
 Hilbert functions are sums over faces; sums over chains are cover passes.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, prod
 
 from stratval.avector import AVector
 from stratval.errors import BoundError, SchemaError, ValidationFailure
@@ -67,10 +68,9 @@ def complex_to_json(ps: StratPoset) -> dict:
     }
 
 
-def rational_structure(
-    ps: StratPoset, chain: Chain, lattice: LatticeQ
-) -> RationalStructure:
-    """Project away the bottom vertex and rewrite in a degree-zero basis."""
+def _bottom_vertex(ps: StratPoset, chain: Chain, lattice: LatticeQ) -> AVector:
+    """e_{p0} / deg f_{p0} for the chain's bottom p0; refused when it is not
+    in the lattice."""
     p0 = chain[-1]
     ell1 = AVector.unit(p0, Fraction(1, ps.fdeg[p0]))
     if not lattice.membership(ell1):
@@ -78,14 +78,24 @@ def rational_structure(
             f"e[{p0}]/{ps.fdeg[p0]} is not in the given lattice; "
             "rational structure undefined"
         )
+    return ell1
+
+
+def _rank_mismatch(rank: int, r: int) -> ValidationFailure:
+    return ValidationFailure(f"degree-zero sublattice has rank {rank}, expected {r}")
+
+
+def rational_structure(
+    ps: StratPoset, chain: Chain, lattice: LatticeQ
+) -> RationalStructure:
+    """Project away the bottom vertex and rewrite in a degree-zero basis."""
+    ell1 = _bottom_vertex(ps, chain, lattice)
     if len(chain) == 1:
         return RationalStructure(chain, lattice, None, [[]])
     sub = lattice.kernel_of_degree(ps.fdeg)
     r = len(chain) - 1
     if sub.rank != r:
-        raise ValidationFailure(
-            f"degree-zero sublattice has rank {sub.rank}, expected {r}"
-        )
+        raise _rank_mismatch(sub.rank, r)
     points = []
     for p in chain:
         w = AVector.unit(p, Fraction(1, ps.fdeg[p])) - ell1
@@ -129,6 +139,38 @@ def volume(rs: RationalStructure) -> Fraction:
     return abs(d) / factorial(r)
 
 
+def chain_volume(ps: StratPoset, chain: Chain, lattice: LatticeQ) -> Fraction:
+    """volume(rational_structure(ps, chain, lattice)) in closed form, with
+    the same refusals.
+
+    r! vol = |det V| * g / covol(L), where V holds the vertices e_p / deg f_p
+    and g generates deg(L).  With h_i the rows of the Hermite normal form of
+    den * L: |det V| = 1 / prod_p deg f_p, g = gcd_i(deg h_i) / den, and the
+    form is echelon, so covol(L) = prod_i lead(h_i) / den^(r+1), in any
+    order of the lattice's coordinates.
+    """
+    _bottom_vertex(ps, chain, lattice)
+    r = len(chain) - 1
+    if r == 0:
+        return Fraction(1)
+    rows = lattice._rows
+    if len(rows) != r + 1:
+        raise _rank_mismatch(len(rows) - 1, r)
+    on_chain = set(chain)
+    weights = [ps.fdeg[p] if p in on_chain else 0 for p in lattice.coords]
+    # rank r + 1 on the chain's coordinates alone: the span is Q^chain
+    if any(x and not w for row in rows for x, w in zip(row, weights)):
+        raise ValidationFailure(
+            f"lattice does not span the coordinates of {'>'.join(chain)}"
+        )
+    g = gcd(*(sum(w * x for w, x in zip(weights, row)) for row in rows))
+    leads = prod(next(x for x in row if x) for row in rows)
+    return Fraction(
+        g * lattice.den**r,
+        prod(ps.fdeg[p] for p in chain) * leads * factorial(r),
+    )
+
+
 def chain_volumes(
     ps: StratPoset, lattices: dict[Chain, LatticeQ]
 ) -> dict[Chain, Fraction]:
@@ -137,7 +179,7 @@ def chain_volumes(
     for chain in ps.maximal_chains():
         if chain not in lattices:
             raise SchemaError(f"no lattice given for chain {'>'.join(chain)}")
-        vols[chain] = volume(rational_structure(ps, chain, lattices[chain]))
+        vols[chain] = chain_volume(ps, chain, lattices[chain])
     return vols
 
 
@@ -239,12 +281,19 @@ def _count_lattice_points(
 ) -> int:
     """Lattice points of degree n on the face with all entries >= low / den:
     low 0 counts the closed face, low 1 its relative interior."""
-    den = lattice.den
-    scaled = weighted_compositions([ps.fdeg[p] for p in face], n * den, low)
-    return sum(
-        lattice.membership(AVector({p: Fraction(w, den) for p, w in zip(face, ws)}))
-        for ws in scaled
-    )
+    slot = {p: i for i, p in enumerate(lattice.coords)}
+    # a point with an entry off the lattice's coordinates is not in it
+    if low and not slot.keys() >= set(face):
+        return 0
+    face = [p for p in face if p in slot]
+    cols = [slot[p] for p in face]
+    count = 0
+    for ws in weighted_compositions([ps.fdeg[p] for p in face], n * lattice.den, low):
+        scaled = [0] * len(slot)
+        for i, w in zip(cols, ws):
+            scaled[i] = w
+        count += lattice.contains_scaled(scaled)
+    return count
 
 
 def hilbert_incl_excl(

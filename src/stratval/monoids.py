@@ -61,6 +61,11 @@ class LatticeQ:
             if x.denominator != 1:
                 return False
             scaled.append(int(x))
+        return self.contains_scaled(scaled)
+
+    def contains_scaled(self, scaled: list[int]) -> bool:
+        """Membership of the vector scaled / den, given by its integer entries
+        over self.coords."""
         return solve_in_rowspace(self._rows, scaled) is not None
 
     def kernel_of_functional(self, values: list[Fraction]) -> "LatticeQ":

@@ -10,7 +10,7 @@ has the same length r.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from stratval.avector import TotalOrder
@@ -58,6 +58,8 @@ class StratPoset:
                 raise SchemaError(f"fdeg of {p!r} must be a positive integer")
         self.extend_bottom = extend_bottom
         self._below: dict[str, set[str]] | None = None
+        self._chains: tuple[Chain, ...] | None = None
+        self._report: ValidationReport | None = None
 
     # -- order machinery ---------------------------------------------------
 
@@ -109,7 +111,14 @@ class StratPoset:
     # -- chains -------------------------------------------------------------
 
     def maximal_chains(self) -> list[Chain]:
-        """All maximal chains, top-down, in lexicographic id order."""
+        """All maximal chains, top-down, in lexicographic id order.
+
+        Listed once per poset; each call returns a fresh list."""
+        if self._chains is None:
+            self._chains = tuple(self._list_maximal_chains())
+        return list(self._chains)
+
+    def _list_maximal_chains(self) -> list[Chain]:
         tops = self.maximal_elements()
         out: list[Chain] = []
 
@@ -191,6 +200,13 @@ class StratPoset:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """Acyclic, a unique maximal element, graded, bonds >= 1; checked
+        once per poset, each call returns a fresh report."""
+        if self._report is None:
+            self._report = self._check()
+        return replace(self._report, failures=list(self._report.failures))
+
+    def _check(self) -> ValidationReport:
         failures = []
         try:
             self._topo_bottom_up()

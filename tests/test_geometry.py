@@ -1,12 +1,17 @@
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratval.avector import AVector
 from stratval.errors import BoundError, SchemaError, ValidationFailure
 from stratval.geometry import (
     RationalStructure,
+    _count_lattice_points,
+    chain_volume,
     count_face_points,
     default_lattices,
     degree,
@@ -18,8 +23,22 @@ from stratval.geometry import (
     sr_hilbert,
     volume,
 )
-from stratval.monoids import MonoidFan, lattice_LC, lattice_generated
+from stratval.monoids import (
+    LatticeQ,
+    MonoidFan,
+    lattice_LC,
+    lattice_generated,
+    weighted_compositions,
+)
 from stratval.poset import StratPoset, generic_model
+from stratval.weyl import (
+    RootSystem,
+    bonds,
+    lattice_LC_lambda,
+    schubert_degree,
+    weyl_group,
+)
+from stratval.workspace import bundled, load_workspace
 
 
 def chain_poset(n, fdeg=None):
@@ -101,6 +120,109 @@ def test_volume_determinant_scaling():
          [Fraction(0), Fraction(0)]],
     )
     assert volume(rs) == Fraction(1, 2 * 3)
+
+
+@cache
+def volume_poset(name):
+    if name == "generic(4,3)":
+        return generic_model(4, 3)
+    if name == "A3":
+        rs = RootSystem.from_type("A3")
+        return bonds(rs, (1, 1, 1), weyl_group(rs))
+    return load_workspace(bundled(name)).ps
+
+
+def volume_or_refusal(compute):
+    try:
+        return compute()
+    except ValidationFailure:
+        return "refused"
+
+
+@st.composite
+def chain_lattices(draw):
+    """A maximal chain and a lattice holding its bottom vertex plus 1-4
+    random rational vectors on the chain, sometimes over the chain's bond
+    lattice and now and then with one vector reaching off the chain;
+    coordinates in chain order or, through lattice_generated with no chain,
+    sorted over the support (which may miss part of the chain)."""
+    ps = volume_poset(draw(st.sampled_from(["gr24", "torus_t2", "generic(4,3)", "A3"])))
+    chain = draw(st.sampled_from(ps.maximal_chains()))
+    p0 = chain[-1]
+    vectors = [AVector.unit(p0, Fraction(1, ps.fdeg[p0]))]
+    if draw(st.booleans()):
+        vectors += lattice_LC(ps, chain).basis
+    entry = st.fractions(-3, 3, max_denominator=4)
+    for _ in range(draw(st.integers(1, 4))):
+        support = draw(st.sets(st.sampled_from(chain), min_size=1))
+        vectors.append(AVector({p: draw(entry) for p in sorted(support)}))
+    reach_off = draw(st.integers(0, 4)) == 0
+    if reach_off:
+        off = draw(st.sampled_from([p for p in ps.ids if p not in chain]))
+        vectors[-1] = vectors[-1] + AVector.unit(off, draw(entry))
+    sorted_coords = reach_off or draw(st.booleans())
+    return ps, chain, lattice_generated(vectors, None if sorted_coords else chain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_lattices())
+def test_chain_volume_matches_the_rational_structure(case):
+    ps, chain, lattice = case
+    got = volume_or_refusal(lambda: chain_volume(ps, chain, lattice))
+    want = volume_or_refusal(lambda: volume(rational_structure(ps, chain, lattice)))
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_lattices(), st.data())
+def test_face_points_counted_in_integers_match_membership(case, data):
+    """The integer count agrees with membership of each point as a rational
+    vector, also where the face leaves the lattice's coordinates."""
+    ps, chain, lattice = case
+    picked = data.draw(st.sets(st.sampled_from(chain), min_size=1, max_size=3))
+    face = tuple(p for p in chain if p in picked)
+    n = data.draw(st.integers(0, 2))
+    for low in (0, 1):
+        want = sum(
+            lattice.membership(
+                AVector({p: Fraction(w, lattice.den) for p, w in zip(face, ws)})
+            )
+            for ws in weighted_compositions(
+                [ps.fdeg[p] for p in face], n * lattice.den, low
+            )
+        )
+        assert _count_lattice_points(ps, face, lattice, n, low) == want
+
+
+def test_chain_volume_keeps_the_refusal_messages(gr24):
+    chain = gr24.maximal_chains()[0]
+    doubled = lattice_generated([AVector.unit(p, 2) for p in chain], chain)
+    with pytest.raises(ValidationFailure, match="not in the given lattice"):
+        chain_volume(gr24, chain, doubled)
+    short = lattice_generated([AVector.unit(p) for p in chain[2:]], chain)
+    with pytest.raises(ValidationFailure, match="has rank 2, expected 4"):
+        chain_volume(gr24, chain, short)
+    other = next(p for p in gr24.ids if p not in chain)
+    off = lattice_generated([AVector.unit(p) for p in (other,) + chain[1:]], None)
+    with pytest.raises(ValidationFailure, match="does not span"):
+        chain_volume(gr24, chain, off)
+
+
+@pytest.mark.parametrize("lam", [(1, 1, 1), (2, 1, 1), (1, 1, 2)])
+def test_degree_reads_volumes_off_the_hermite_form(lam, monkeypatch):
+    """A3 with its cut lattices gives the Schubert degree without a
+    degree-zero sublattice or a rational solve."""
+    rs = RootSystem.from_type("A3")
+    w = weyl_group(rs)
+    ps = bonds(rs, lam, w)
+    lattices = {c: lattice_LC_lambda(ps, c) for c in ps.maximal_chains()}
+
+    def refuse(*args):
+        raise AssertionError("chain volumes need no rational structure")
+
+    monkeypatch.setattr(LatticeQ, "coords_in_basis", refuse)
+    monkeypatch.setattr(LatticeQ, "kernel_of_degree", refuse)
+    assert degree(ps, lattices) == schubert_degree(rs, lam, w.w0.id)
 
 
 def test_degree_gr24(gr24):

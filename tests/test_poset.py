@@ -47,6 +47,26 @@ def test_gr24_chains(gr24):
     assert chains == sorted(chains)
 
 
+def test_chains_and_report_are_computed_once(monkeypatch):
+    ps = generic_model(3, 2)
+    listed = 0
+    list_chains = StratPoset._list_maximal_chains
+
+    def counting(self):
+        nonlocal listed
+        listed += 1
+        return list_chains(self)
+
+    monkeypatch.setattr(StratPoset, "_list_maximal_chains", counting)
+    chains = ps.maximal_chains()
+    chains.clear()
+    ps.validate().failures.append("not a failure")
+    assert ps.r == 2 and ps.r == 2
+    assert ps.validate().failures == []
+    assert ps.maximal_chains() == [("q2", "q1", f"q0_{k}") for k in (1, 2, 3)]
+    assert listed == 1
+
+
 def test_s3_bruhat_has_four_chains():
     ps = make_poset(
         ["e", "1", "2", "12", "21", "121"],
