@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -241,26 +242,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "validate":
+        return cmd_validate(load_workspace(args.workspace))
+    if args.command == "hasse":
+        return cmd_hasse(load_workspace(args.workspace), args.out)
+    if args.command == "degree":
+        return cmd_degree(load_workspace(args.workspace))
+    if args.command == "hilbert":
+        return cmd_hilbert(load_workspace(args.workspace), args.max)
+    if args.command == "valuate":
+        return cmd_valuate(load_workspace(args.workspace), args.poly)
+    if args.command == "subduct":
+        return cmd_subduct(load_workspace(args.workspace), args.poly)
+    if args.command == "lspaths":
+        return cmd_lspaths(args.type, args.lam, args.degree, args.tau)
+    if args.command == "generic":
+        return cmd_generic(args.s, args.r, args.out)
+    raise SchemaError(f"unknown command {args.command!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return cmd_validate(load_workspace(args.workspace))
-        if args.command == "hasse":
-            return cmd_hasse(load_workspace(args.workspace), args.out)
-        if args.command == "degree":
-            return cmd_degree(load_workspace(args.workspace))
-        if args.command == "hilbert":
-            return cmd_hilbert(load_workspace(args.workspace), args.max)
-        if args.command == "valuate":
-            return cmd_valuate(load_workspace(args.workspace), args.poly)
-        if args.command == "subduct":
-            return cmd_subduct(load_workspace(args.workspace), args.poly)
-        if args.command == "lspaths":
-            return cmd_lspaths(args.type, args.lam, args.degree, args.tau)
-        if args.command == "generic":
-            return cmd_generic(args.s, args.r, args.out)
-        raise SchemaError(f"unknown command {args.command!r}")
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return 2

@@ -4,7 +4,8 @@ The complex is the order complex of the poset realized with vertices
 e_p / deg f_p.  The volume of each maximal simplex, measured in its chain's
 lattice, is read off the Hermite normal form of that lattice.  The rational
 structure (the bottom vertex projected away, the rest rewritten in a basis of
-the degree-zero sublattice) serves Ehrhart counting and the tests only.
+the degree-zero sublattice) serves the tests only, as a check on that
+closed form.
 Hilbert functions are sums over faces; sums over chains are cover passes.
 """
 
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 
 from stratval.avector import AVector
-from stratval.errors import BoundError, SchemaError, ValidationFailure
+from stratval.errors import SchemaError, ValidationFailure
 from stratval.monoids import (
     LatticeQ,
     MonoidFan,
@@ -24,8 +25,6 @@ from stratval.monoids import (
     weighted_compositions,
 )
 from stratval.poset import Chain, StratPoset
-
-EHRHART_GUARD = 10_000_000
 
 
 @dataclass
@@ -203,70 +202,6 @@ def hodge_degree(ps: StratPoset) -> Fraction:
         lambda p, q: Fraction(1, ps.fdeg[p]), lambda q: Fraction(1, ps.fdeg[q])
     )
     return sum((h[p] for p in ps.maximal_elements()), Fraction(0))
-
-
-def ehrhart_count(rs: RationalStructure, n: int) -> int:
-    """#(n * D_chain  intersect  Z^r) by exact enumeration over the bounding box."""
-    if n < 0:
-        raise SchemaError("ehrhart_count needs n >= 0")
-    r = len(rs.chain) - 1
-    if r == 0 or n == 0:
-        return 1
-    verts = [[n * x for x in pt] for pt in rs.points]
-    lo = [min(v[j] for v in verts) for j in range(r)]
-    hi = [max(v[j] for v in verts) for j in range(r)]
-    ranges = []
-    box = 1
-    for j in range(r):
-        a = -((-lo[j]).__floor__())  # ceil
-        b = hi[j].__floor__()
-        ranges.append(range(a, b + 1))
-        box *= max(0, b - a + 1)
-    if box > EHRHART_GUARD:
-        raise BoundError(f"lattice-point enumeration over {box} candidates refused")
-    # affine barycentric test: lambda = (x | 1) @ Minv, all >= 0
-    mat = [list(v) + [Fraction(1)] for v in verts]
-    inv = _invert(mat)
-    count = 0
-
-    def walk(j: int, point: list[int]):
-        nonlocal count
-        if j == r:
-            lams = _affine_coords(point, inv)
-            if all(l >= 0 for l in lams):
-                count += 1
-            return
-        for x in ranges[j]:
-            point.append(x)
-            walk(j + 1, point)
-            point.pop()
-
-    walk(0, [])
-    return count
-
-
-def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValidationFailure("degenerate simplex: affine matrix not invertible")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _affine_coords(point: list[int], inv: list[list[Fraction]]) -> list[Fraction]:
-    n = len(inv)
-    vec = list(point) + [1]
-    return [sum(vec[i] * inv[i][j] for i in range(n)) for j in range(n)]
 
 
 def count_face_points(

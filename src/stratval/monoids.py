@@ -38,13 +38,26 @@ class LatticeQ:
                 raise SchemaError(
                     f"vector {v} not supported in the coordinate chain {self.coords}"
                 )
-        self.den = lcm(
-            1, *(x.denominator for v in vectors for x in v.entries.values())
-        )
-        rows = [[int(v[p] * self.den) for p in self.coords] for v in vectors]
+        den = lcm(1, *(x.denominator for v in vectors for x in v.entries.values()))
+        rows = [[int(v[p] * den) for p in self.coords] for v in vectors]
+        self._canonicalize(rows, den)
+
+    @classmethod
+    def from_scaled_rows(
+        cls, coords: Chain, rows: list[list[int]], den: int
+    ) -> "LatticeQ":
+        """The lattice spanned by the integer rows / den, one entry per
+        coordinate of coords; the rows need not be independent."""
+        lat = cls.__new__(cls)
+        lat.coords = tuple(coords)
+        lat._canonicalize(rows, den)
+        return lat
+
+    def _canonicalize(self, rows: list[list[int]], den: int) -> None:
+        self.den = den
         self._rows = hnf_basis(rows)
         self.basis = [
-            AVector({p: Fraction(x, self.den) for p, x in zip(self.coords, row)})
+            AVector({p: Fraction(x, den) for p, x in zip(self.coords, row)})
             for row in self._rows
         ]
 
@@ -128,12 +141,24 @@ def lattice_generated(vectors: list[AVector], chain: Chain | None = None) -> Lat
     return LatticeQ(chain, vectors)
 
 
+# a chain monoid's elements up to a degree bound, and its indecomposables
+_Slice = tuple[frozenset[AVector], tuple[AVector, ...]]
+
+
 @dataclass
 class MonoidFan:
-    """Per-chain generator lists for the monoids of the fan."""
+    """Per-chain generator lists for the monoids of the fan.
+
+    Degree-bounded slices of the chain monoids are built on first use and
+    kept on the fan, keyed by (chain, degree bound).  Nothing changes the
+    generators after construction, so the slices need no invalidation.
+    """
 
     ps: StratPoset
     generators: dict[Chain, list[AVector]] = field(default_factory=dict)
+    _slices: dict[tuple[Chain, Fraction], _Slice] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for chain, gens in self.generators.items():
@@ -291,9 +316,24 @@ def indecomposables(
     fan: MonoidFan, chain: Chain, max_degree: int
 ) -> list[AVector]:
     """Nonzero monoid elements of degree <= max_degree admitting no ordered split."""
-    gens = fan.generators[chain]
-    elements = _monoid_elements_up_to(gens, fan.ps.fdeg, Fraction(max_degree))
-    return _unsplit(elements, chain)
+    return list(_slice(fan, chain, Fraction(max_degree))[1])
+
+
+def _slice(fan: MonoidFan, chain: Chain, bound: Fraction) -> _Slice:
+    """The chain monoid's elements of degree <= bound and the indecomposables
+    of its slice of degree <= int(bound), enumerated once per fan."""
+    key = (chain, bound)
+    got = fan._slices.get(key)
+    if got is None:
+        fdeg = fan.ps.fdeg
+        elements = frozenset(
+            _monoid_elements_up_to(fan.generators[chain], fdeg, bound)
+        )
+        up_to_floor = elements if bound.denominator == 1 else {
+            v for v in elements if degree_of(v, fdeg) <= int(bound)
+        }
+        got = fan._slices[key] = (elements, tuple(_unsplit(up_to_floor, chain)))
+    return got
 
 
 def _unsplit(elements: set[AVector], chain: Chain) -> list[AVector]:
@@ -323,19 +363,16 @@ def decompose(a: AVector, fan: MonoidFan, chain: Chain) -> list[AVector]:
     """Ordered decomposition into indecomposables, top factor first.
 
     Unique when the chain monoid is saturated; deterministic regardless.
-    Membership and the indecomposables read one enumeration of the monoid.
+    Membership and the indecomposables read the fan's slice of the chain
+    monoid up to the degree of a.
     """
-    gens = fan.generators[chain]
-    fdeg = fan.ps.fdeg
     if a.is_zero():
         return []
     if not a.support() <= set(chain):
         raise SchemaError(f"{a} is not supported in the chain")
-    total = degree_of(a, fdeg)
-    elements = _monoid_elements_up_to(gens, fdeg, total)
+    elements, indec = _slice(fan, chain, degree_of(a, fan.ps.fdeg))
     if a not in elements:
         raise SchemaError(f"{a} is not an element of the chain monoid")
-    indec = _unsplit({v for v in elements if degree_of(v, fdeg) <= int(total)}, chain)
 
     def split(v: AVector, cap: int | None) -> list[AVector] | None:
         if v.is_zero():

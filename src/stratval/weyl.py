@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from stratval.avector import AVector
 from stratval.errors import BoundError, SchemaError, StratvalError, ValidationFailure
@@ -327,17 +328,16 @@ def bonds(rs: RootSystem, lam: Weight, group: WeylGroup | None = None) -> StratP
 
 def lattice_LC_lambda(poset: StratPoset, chain: Chain) -> LatticeQ:
     """The telescoping cut lattice of a maximal chain: partial sums down the
-    chain are integral after scaling by the bond at each level."""
-    vecs = []
-    for k in range(len(chain) - 1):
-        b = poset.bond[(chain[k], chain[k + 1])]
-        vecs.append(
-            (AVector.unit(chain[k]) - AVector.unit(chain[k + 1])).scale(
-                Fraction(1, b)
-            )
-        )
-    vecs.append(AVector.unit(chain[-1]))
-    return LatticeQ(chain, vecs)
+    chain are integral after scaling by the bond at each level.  Over the
+    lcm L of the bonds its generators are the integer rows
+    (L / b_k)(e_k - e_{k+1}) and L e_bottom."""
+    bonds_list = [poset.bond[e] for e in zip(chain, chain[1:])]
+    den = lcm(1, *bonds_list)
+    rows = [[0] * len(chain) for _ in chain]
+    for k, b in enumerate(bonds_list):
+        rows[k][k], rows[k][k + 1] = den // b, -(den // b)
+    rows[-1][-1] = den
+    return LatticeQ.from_scaled_rows(chain, rows, den)
 
 
 def ls_lattice_points(

@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stratval
 from stratval.cli import main
 from stratval.workspace import bundled
 
@@ -148,6 +153,27 @@ def test_lspaths_enumerates_paths_once(capsys, monkeypatch):
     doc = json.loads(out)
     assert len(calls) == 1
     assert doc["count"] == doc["dim"] == len(doc["paths"])
+
+
+@pytest.mark.parametrize("degree", ["1", "3"])
+def test_closed_stdout_exits_1_without_traceback(degree):
+    # degree 1 fits the stdout buffer and fails at the flush, degree 3
+    # (about 40 kB) inside the write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(stratval.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stratval.cli", "lspaths", "--type", "B2",
+             "--lambda", "1,1", "--degree", degree],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+    assert proc.returncode == 1
 
 
 def test_lspaths_tau(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chain_oracles import ehrhart_count
 from stratval.avector import AVector
 from stratval.errors import BoundError, SchemaError, ValidationFailure
 from stratval.geometry import (
@@ -15,7 +16,6 @@ from stratval.geometry import (
     count_face_points,
     default_lattices,
     degree,
-    ehrhart_count,
     hilbert_incl_excl,
     hodge_degree,
     no_complex,
@@ -285,7 +285,7 @@ def test_ehrhart_standard_simplices(gr24):
 
 
 def test_ehrhart_guard():
-    import stratval.geometry as geo
+    import chain_oracles as geo
 
     ps = chain_poset(4)
     chain = ps.maximal_chains()[0]

@@ -1,8 +1,12 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stratval.avector import AVector
+from chain_oracles import decompose_uncached
+from stratval.avector import AVector, degree_of
 from stratval.errors import SchemaError, ValidationFailure
 from stratval.monoids import (
     MonoidFan,
@@ -17,6 +21,7 @@ from stratval.monoids import (
     monoid_membership,
 )
 from stratval.poset import StratPoset
+from stratval.workspace import bundled, load_workspace
 
 
 def elliptic_poset():
@@ -207,6 +212,133 @@ def test_decompose_enumerates_the_chain_monoid_once(gr24, monkeypatch):
     assert builds == [3]
     with pytest.raises(SchemaError, match="not an element of the chain monoid"):
         decompose(AVector.unit("13", Fraction(1, 2)), fan, chain)
+
+
+def test_slices_are_built_once_per_fan(gr24, monkeypatch):
+    import stratval.monoids as monoids
+
+    builds, scans = [], []
+    elements_up_to, unsplit = monoids._monoid_elements_up_to, monoids._unsplit
+
+    def counting_elements(gens, fdeg, bound):
+        builds.append(bound)
+        return elements_up_to(gens, fdeg, bound)
+
+    def counting_unsplit(elements, chain):
+        scans.append(chain)
+        return unsplit(elements, chain)
+
+    monkeypatch.setattr(monoids, "_monoid_elements_up_to", counting_elements)
+    monkeypatch.setattr(monoids, "_unsplit", counting_unsplit)
+    chain = ("34", "24", "23", "13", "12")
+    e = {p: AVector.unit(p) for p in chain}
+    fan = hodge_fan(gr24)
+    assert builds == [] and scans == []
+    for _ in range(3):
+        assert decompose(e["13"] + e["24"] + e["12"], fan, chain) == [
+            e["24"], e["13"], e["12"]
+        ]
+        assert decompose(e["34"].scale(3), fan, chain) == [e["34"]] * 3
+        assert sorted(indecomposables(fan, chain, 3), key=AVector.key) == sorted(
+            e.values(), key=AVector.key
+        )
+    assert builds == [3] and scans == [chain]
+    indecomposables(fan, chain, 2)
+    assert builds == [3, 2] and scans == [chain] * 2
+    # a second fan over the same poset builds its own slice
+    other = hodge_fan(gr24)
+    decompose(e["13"] + e["24"] + e["12"], other, chain)
+    assert builds == [3, 2, 3] and scans == [chain] * 3
+
+
+@cache
+def _hodge_poset(name):
+    return load_workspace(bundled(name)).ps
+
+
+def _numerical_semigroup_fan():
+    ps = StratPoset([("a", "a")], [], {"a": 1})
+    return MonoidFan(ps, {("a",): [AVector.unit("a", 2), AVector.unit("a", 3)]})
+
+
+def _half_step_fan():
+    # the generator of degree 3/2 splits in no order, but the indecomposables
+    # that decompose reads stop at the integer part of the degree
+    ps = elliptic_poset()
+    chain = ("X1", "X0")
+    half = AVector({"X1": 1, "X0": Fraction(1, 2)})
+    return MonoidFan(ps, {chain: [half, AVector.unit("X0"), AVector.unit("X1")]})
+
+
+FANS = {
+    "gr24": lambda: hodge_fan(_hodge_poset("gr24")),
+    "pset_p2": lambda: hodge_fan(_hodge_poset("pset_p2")),
+    "quadric": lambda: hodge_fan(_hodge_poset("quadric")),
+    "elliptic": lambda: elliptic_fan()[2],
+    "numerical_semigroup": _numerical_semigroup_fan,
+    "half_step": _half_step_fan,
+}
+
+
+def _outcome(fn, a, fan, chain):
+    """The decomposition, or the type and message of the SchemaError."""
+    try:
+        return fn(a, fan, chain)
+    except SchemaError as e:
+        return type(e), str(e)
+
+
+def test_decompose_reads_indecomposables_up_to_the_integer_degree():
+    fan = _half_step_fan()
+    chain = ("X1", "X0")
+    half = AVector({"X1": 1, "X0": Fraction(1, 2)})
+    for a in (half, half + AVector.unit("X1"), half.scale(2)):
+        assert _outcome(decompose, a, fan, chain) == _outcome(
+            decompose_uncached, a, fan, chain
+        )
+    with pytest.raises(SchemaError, match="admits no ordered decomposition"):
+        decompose(half, fan, chain)
+    assert decompose(half + AVector.unit("X1"), fan, chain) == [
+        AVector.unit("X1"), half
+    ]
+
+
+@st.composite
+def decompose_calls(draw):
+    """A fresh fan and (element, chain) pairs on it, in random order: monoid
+    elements of degree <= 4, some nudged off the monoid by removing a
+    generator or adding a third of a unit vector."""
+    fan = FANS[draw(st.sampled_from(sorted(FANS)))]()
+    chains = fan.chains()
+    ids = sorted(fan.ps.ids)
+    calls = []
+    for _ in range(draw(st.integers(1, 4))):
+        chain = draw(st.sampled_from(chains))
+        gens = fan.generators[chain]
+        a = AVector.zero()
+        for _ in range(draw(st.integers(0, 4))):
+            g = draw(st.sampled_from(gens))
+            if degree_of(a + g, fan.ps.fdeg) > 4:
+                break
+            a = a + g
+        nudge = draw(st.sampled_from(["none", "none", "minus", "third"]))
+        if nudge == "minus":
+            a = a - draw(st.sampled_from(gens))
+        elif nudge == "third":
+            a = a + AVector.unit(draw(st.sampled_from(ids)), Fraction(1, 3))
+        calls.append((a, chain))
+    return fan, draw(st.permutations(calls + calls))
+
+
+@settings(max_examples=40, deadline=None)
+@given(decompose_calls())
+def test_cached_decompose_matches_the_uncached_oracle(case):
+    fan, calls = case
+    expected = {}
+    for a, chain in calls:
+        if (a, chain) not in expected:
+            expected[a, chain] = _outcome(decompose_uncached, a, fan, chain)
+        assert _outcome(decompose, a, fan, chain) == expected[a, chain]
 
 
 def test_decompose_resums_and_elliptic_cubic():
