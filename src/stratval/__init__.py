@@ -16,7 +16,7 @@ from stratval.errors import (
     StratvalError,
     ValidationFailure,
 )
-from stratval.laurent import LaurentFraction, LaurentPoly, parse_laurent
+from stratval.laurent import LaurentPoly, parse_laurent
 from stratval.poset import Chain, StratPoset, generic_model
 
 __version__ = "0.1.0"
@@ -26,7 +26,6 @@ __all__ = [
     "BoundError",
     "Chain",
     "ChartError",
-    "LaurentFraction",
     "LaurentPoly",
     "Ordering",
     "SchemaError",

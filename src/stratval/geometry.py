@@ -152,7 +152,7 @@ def chain_volume(ps: StratPoset, chain: Chain, lattice: LatticeQ) -> Fraction:
     r = len(chain) - 1
     if r == 0:
         return Fraction(1)
-    rows = lattice._rows
+    rows = lattice.rows
     if len(rows) != r + 1:
         raise _rank_mismatch(len(rows) - 1, r)
     on_chain = set(chain)

@@ -7,8 +7,6 @@ this package need.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Row-style Hermite normal form H of the matrix, with unimodular U so
@@ -88,43 +86,3 @@ def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
     H, U = hnf_with_transform(rows)
     return [U[i] for i in range(len(rows)) if not any(H[i])]
 
-
-def rational_solve(
-    matrix: list[list[Fraction]], target: list[Fraction]
-) -> list[Fraction] | None:
-    """Solve x @ matrix == target exactly over Q (matrix rows are the basis)."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(0)] * m for row in matrix]
-    for i in range(m):
-        aug[i][n + i] = Fraction(1)
-    t = [Fraction(x) for x in target]
-    piv_cols = []
-    row = 0
-    for col in range(n):
-        p = next((i for i in range(row, m) if aug[i][col]), None)
-        if p is None:
-            continue
-        aug[row], aug[p] = aug[p], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        piv_cols.append(col)
-        row += 1
-        if row == m:
-            break
-    coeffs = [Fraction(0)] * m
-    res = list(t)
-    for i, col in enumerate(piv_cols):
-        f = res[col]
-        if f:
-            for j in range(n):
-                res[j] -= f * aug[i][j]
-            for j in range(m):
-                coeffs[j] += f * aug[i][n + j]
-    if any(res):
-        return None
-    return coeffs

@@ -1,4 +1,4 @@
-"""Sparse Laurent polynomials over Q, and formal fractions of them.
+"""Sparse Laurent polynomials over Q.
 
 Monomials are canonical tuples of (variable, exponent) pairs; exponents may
 be negative.  These model regular and rational functions on torus charts:
@@ -103,7 +103,7 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            raise ValueError("negative power of a Laurent polynomial; use LaurentFraction")
+            raise ValueError("negative power of a Laurent polynomial")
         result = LaurentPoly.const(1)
         base = self
         while n:
@@ -245,54 +245,3 @@ def parse_laurent(text: str) -> LaurentPoly:
         raise SchemaError("empty expression")
     return total
 
-
-class LaurentFraction:
-    """Formal quotient num/den of Laurent polynomials; den is never zero.
-
-    Used by `valuation.rees_min` for orders and restrictions along divisors.
-    The valuation recursion does not use it: it carries its rational
-    functions as factors with exponents (see `valuation`).
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if den is None:
-            den = LaurentPoly.const(1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        self.num = num
-        self.den = den
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def min_exponent(self, var: str) -> int:
-        """Vanishing order along {var = 0}: exact because the Laurent ring is a
-        domain, so orders of num and den subtract."""
-        if self.is_zero():
-            raise ChartError("vanishing order of the zero function")
-        return self.num.min_exponent(var) - self.den.min_exponent(var)
-
-    def restrict(self, var: str) -> "LaurentFraction":
-        """Restriction to the divisor {var = 0}, defined when min_exponent == 0:
-        keep the lowest var-order parts of num and den."""
-        if self.min_exponent(var) != 0:
-            raise ChartError(
-                f"restriction to {{{var}=0}} of a function with nonzero order"
-            )
-        return LaurentFraction(self.num.lowest_part(var), self.den.lowest_part(var))
-
-    def as_constant(self) -> Fraction:
-        """Value when num and den are both constants."""
-        nt, dt = self.num.terms, self.den.terms
-        if set(nt) | set(dt) > {()}:
-            raise ChartError("fraction is not constant")
-        return nt.get((), Fraction(0)) / dt[()]
-
-    def __str__(self) -> str:
-        if self.den == LaurentPoly.const(1):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    __repr__ = __str__

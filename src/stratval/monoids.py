@@ -10,23 +10,20 @@ and the fan-algebra multiplication rule.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from stratval.avector import AVector, TotalOrder, degree_of
 from stratval.errors import SchemaError, ValidationFailure
-from stratval.intlattice import (
-    hnf_basis,
-    integer_kernel,
-    rational_solve,
-    solve_in_rowspace,
-)
+from stratval.intlattice import hnf_basis, integer_kernel, solve_in_rowspace
 from stratval.poset import Chain, StratPoset
 
 
 class LatticeQ:
-    """Full- or partial-rank lattice in Q^chain, canonicalized by integer HNF."""
+    """Full- or partial-rank lattice in Q^chain: the nonzero rows of the
+    integer Hermite normal form of den * L, one entry per coordinate."""
 
     def __init__(self, coords: Chain, vectors: list[AVector]):
         if not vectors:
@@ -38,9 +35,10 @@ class LatticeQ:
                 raise SchemaError(
                     f"vector {v} not supported in the coordinate chain {self.coords}"
                 )
-        den = lcm(1, *(x.denominator for v in vectors for x in v.entries.values()))
-        rows = [[int(v[p] * den) for p in self.coords] for v in vectors]
-        self._canonicalize(rows, den)
+        self.den = lcm(1, *(x.denominator for v in vectors for x in v.entries.values()))
+        self.rows = hnf_basis(
+            [[int(v[p] * self.den) for p in self.coords] for v in vectors]
+        )
 
     @classmethod
     def from_scaled_rows(
@@ -50,20 +48,21 @@ class LatticeQ:
         coordinate of coords; the rows need not be independent."""
         lat = cls.__new__(cls)
         lat.coords = tuple(coords)
-        lat._canonicalize(rows, den)
+        lat.den = den
+        lat.rows = hnf_basis(rows)
         return lat
 
-    def _canonicalize(self, rows: list[list[int]], den: int) -> None:
-        self.den = den
-        self._rows = hnf_basis(rows)
-        self.basis = [
-            AVector({p: Fraction(x, den) for p, x in zip(self.coords, row)})
-            for row in self._rows
+    @property
+    def basis(self) -> list[AVector]:
+        """The rows / den as vectors, built on each read."""
+        return [
+            AVector({p: Fraction(x, self.den) for p, x in zip(self.coords, row)})
+            for row in self.rows
         ]
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def membership(self, v: AVector) -> bool:
         if not v.support() <= set(self.coords):
@@ -79,31 +78,38 @@ class LatticeQ:
     def contains_scaled(self, scaled: list[int]) -> bool:
         """Membership of the vector scaled / den, given by its integer entries
         over self.coords."""
-        return solve_in_rowspace(self._rows, scaled) is not None
-
-    def kernel_of_functional(self, values: list[Fraction]) -> "LatticeQ":
-        """Sublattice where the linear functional (given on self.basis) vanishes."""
-        m = lcm(1, *(v.denominator for v in values))
-        col = [[int(v * m)] for v in values]
-        combos = integer_kernel(col)
-        vecs = []
-        for combo in combos:
-            acc = AVector.zero()
-            for c, b in zip(combo, self.basis):
-                acc = acc + b.scale(c)
-            vecs.append(acc)
-        if not vecs:
-            raise ValidationFailure("functional kernel is the zero lattice")
-        return LatticeQ(self.coords, vecs)
+        return solve_in_rowspace(self.rows, scaled) is not None
 
     def kernel_of_degree(self, fdeg: dict[str, int]) -> "LatticeQ":
-        return self.kernel_of_functional([degree_of(b, fdeg) for b in self.basis])
+        """Sublattice of weighted degree zero, over the least denominator
+        that carries its integer row combinations."""
+        degrees = [
+            [sum(fdeg[p] * x for p, x in zip(self.coords, row) if x)]
+            for row in self.rows
+        ]
+        combos = integer_kernel(degrees)
+        if not combos:
+            raise ValidationFailure("functional kernel is the zero lattice")
+        rows = [
+            [sum(c * x for c, x in zip(combo, col)) for col in zip(*self.rows)]
+            for combo in combos
+        ]
+        g = gcd(self.den, *(x for row in rows for x in row))
+        return LatticeQ.from_scaled_rows(
+            self.coords, [[x // g for x in row] for row in rows], self.den // g
+        )
 
     def coords_in_basis(self, v: AVector) -> list[Fraction] | None:
-        """Exact coordinates of v in self.basis, if v lies in the Q-span."""
-        matrix = [[Fraction(b[p]) for p in self.coords] for b in self.basis]
-        target = [Fraction(v[p]) for p in self.coords]
-        return rational_solve(matrix, target)
+        """Exact coordinates of v in self.basis, if v lies in the Q-span:
+        elimination down the echelon rows."""
+        res = [v[p] * self.den for p in self.coords]
+        coeffs = []
+        for row in self.rows:
+            lead = next(j for j, x in enumerate(row) if x)
+            c = res[lead] / row[lead]
+            coeffs.append(c)
+            res = [a - c * x for a, x in zip(res, row)]
+        return None if any(res) else coeffs
 
     def to_json(self) -> dict:
         return {
@@ -113,7 +119,9 @@ class LatticeQ:
 
 
 def lattice_LC(ps: StratPoset, chain: Chain) -> LatticeQ:
-    """The bond lattice: e_{p_j} / (b_r ... b_j), including the bottom degree."""
+    """The bond lattice: e_{p_j} / (b_r ... b_j), including the bottom degree.
+    Over den = b_r ... b_0 its generators are the integer rows
+    (den / (b_r ... b_j)) e_{p_j}."""
     try:  # from a maximal to a minimal element through covers
         bonds = ps.chain_bonds(chain)
         maximal = isinstance(chain, tuple) and not (
@@ -123,12 +131,13 @@ def lattice_LC(ps: StratPoset, chain: Chain) -> LatticeQ:
         maximal = False
     if not maximal:
         raise SchemaError(f"{'>'.join(chain)} is not a maximal chain")
-    vecs = []
-    running = 1
-    for p, b in zip(chain, bonds):
-        running *= b
-        vecs.append(AVector.unit(p, Fraction(1, running)))
-    return LatticeQ(chain, vecs)
+    running = list(itertools.accumulate(bonds, operator.mul))
+    den = running[-1]
+    rows = [
+        [den // r if i == j else 0 for j in range(len(chain))]
+        for i, r in enumerate(running)
+    ]
+    return LatticeQ.from_scaled_rows(chain, rows, den)
 
 
 def lattice_generated(vectors: list[AVector], chain: Chain | None = None) -> LatticeQ:
@@ -300,8 +309,10 @@ def is_saturated(
     den = lat.den
     for total in range(1, bound * den + 1):
         for scaled in weighted_compositions([fdeg[p] for p in chain], total):
+            if not lat.contains_scaled(scaled):
+                continue
             v = AVector({p: Fraction(w, den) for p, w in zip(chain, scaled)})
-            if lat.membership(v) and not monoid_membership(v, gens, fdeg):
+            if not monoid_membership(v, gens, fdeg):
                 return SaturationReport(chain, False, bound, v)
     return SaturationReport(chain, True, bound, None)
 

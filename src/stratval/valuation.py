@@ -23,7 +23,7 @@ from fractions import Fraction
 from stratval.avector import AVector, TotalOrder, lex_min
 from stratval.charts import Atlas, ChainChart
 from stratval.errors import ChartError, SchemaError
-from stratval.laurent import LaurentFraction, LaurentPoly
+from stratval.laurent import LaurentPoly
 from stratval.poset import Chain, StratPoset
 
 Factors = list[tuple[LaurentPoly, int]]
@@ -200,13 +200,18 @@ def rees_min(g: LaurentPoly, p: str, atlas: Atlas, ps: StratPoset) -> Fraction:
                     break
         if edge_chart is None:
             raise SchemaError(f"no chart in the atlas contains the edge {p} > {q}")
-        cur = LaurentFraction(ambient_image(g, edge_chart))
+        cur = ambient_image(g, edge_chart)
         if cur.is_zero():
             raise ChartError("function is zero on the chart")
         for var in edge_chart.divisor_vars[:pos]:
-            if cur.min_exponent(var) > 0:
+            order = cur.min_exponent(var)
+            if order > 0:
                 raise ChartError(f"function vanishes identically on the stratum of {p!r}")
-            cur = cur.restrict(var)
+            if order < 0:
+                raise ChartError(
+                    f"restriction to {{{var}=0}} of a function with nonzero order"
+                )
+            cur = cur.lowest_part(var)
         nu = cur.min_exponent(edge_chart.divisor_vars[pos])
         ratios.append(Fraction(nu, b))
     return min(ratios)

@@ -495,6 +495,8 @@ def enumerate_ls(
     """All LS-paths of the given shape and degree: union of the per-chain cut
     lattices, then independently validated against the chain predicate."""
     _check_regular_dominant(lam, rs.rank)
+    if m == 0:  # the one path of degree zero, without listing the chains
+        return [EMPTY_PATH]
     group = group or weyl_group(rs)
     poset = poset if poset is not None else bonds(rs, lam, group)
     vectors: set[AVector] = set()

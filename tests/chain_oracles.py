@@ -6,16 +6,23 @@ decompositions from chain-monoid slices kept on the fan.  These are the
 direct forms, kept as oracles for small inputs: the inclusion-exclusion over
 every nonempty set of maximal chains, the degree sums over an explicit list
 of maximal chains, a decomposition that enumerates its slice on every call,
-and Ehrhart counting over the bounding box of a projected simplex.
+Ehrhart counting over the bounding box of a projected simplex, a lattice's
+rational basis with the degree-zero sublattice and coordinates computed
+through it over Q, and formal fractions of Laurent polynomials for the
+expanded valuation recursion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from math import lcm
+
 from stratval.avector import AVector, degree_of
-from stratval.errors import BoundError, SchemaError, ValidationFailure
+from stratval.errors import BoundError, ChartError, SchemaError, ValidationFailure
 from stratval.geometry import RationalStructure, count_face_points
+from stratval.intlattice import integer_kernel
+from stratval.laurent import LaurentPoly
 from stratval.monoids import (
     LatticeQ,
     MonoidFan,
@@ -191,3 +198,129 @@ def _affine_coords(point: list[int], inv: list[list[Fraction]]) -> list[Fraction
     n = len(inv)
     vec = list(point) + [1]
     return [sum(vec[i] * inv[i][j] for i in range(n)) for j in range(n)]
+
+
+def eager_basis(lat: LatticeQ) -> list[AVector]:
+    """The lattice's rows / den as vectors of Fractions, one per row."""
+    return [
+        AVector({p: Fraction(x, lat.den) for p, x in zip(lat.coords, row)})
+        for row in lat.rows
+    ]
+
+
+def kernel_of_functional(lat: LatticeQ, values: list[Fraction]) -> LatticeQ:
+    """Sublattice where the linear functional (given on the basis) vanishes,
+    summed as rational vectors."""
+    m = lcm(1, *(v.denominator for v in values))
+    col = [[int(v * m)] for v in values]
+    vecs = []
+    for combo in integer_kernel(col):
+        acc = AVector.zero()
+        for c, b in zip(combo, eager_basis(lat)):
+            acc = acc + b.scale(c)
+        vecs.append(acc)
+    if not vecs:
+        raise ValidationFailure("functional kernel is the zero lattice")
+    return LatticeQ(lat.coords, vecs)
+
+
+def kernel_of_degree(lat: LatticeQ, fdeg: dict[str, int]) -> LatticeQ:
+    return kernel_of_functional(lat, [degree_of(b, fdeg) for b in eager_basis(lat)])
+
+
+def rational_solve(
+    matrix: list[list[Fraction]], target: list[Fraction]
+) -> list[Fraction] | None:
+    """Solve x @ matrix == target exactly over Q (matrix rows are the basis)."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(0)] * m for row in matrix]
+    for i in range(m):
+        aug[i][n + i] = Fraction(1)
+    t = [Fraction(x) for x in target]
+    piv_cols = []
+    row = 0
+    for col in range(n):
+        p = next((i for i in range(row, m) if aug[i][col]), None)
+        if p is None:
+            continue
+        aug[row], aug[p] = aug[p], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for i in range(m):
+            if i != row and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+        piv_cols.append(col)
+        row += 1
+        if row == m:
+            break
+    coeffs = [Fraction(0)] * m
+    res = list(t)
+    for i, col in enumerate(piv_cols):
+        f = res[col]
+        if f:
+            for j in range(n):
+                res[j] -= f * aug[i][j]
+            for j in range(m):
+                coeffs[j] += f * aug[i][n + j]
+    if any(res):
+        return None
+    return coeffs
+
+
+def coords_in_basis(lat: LatticeQ, v: AVector) -> list[Fraction] | None:
+    """Exact coordinates of v in the basis by a general solve over Q."""
+    matrix = [[Fraction(b[p]) for p in lat.coords] for b in eager_basis(lat)]
+    return rational_solve(matrix, [Fraction(v[p]) for p in lat.coords])
+
+
+class LaurentFraction:
+    """Formal quotient num/den of Laurent polynomials; den is never zero.
+
+    The valuation recursion carries its rational functions as factors with
+    exponents instead (see `valuation`).
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
+        if den is None:
+            den = LaurentPoly.const(1)
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        self.num = num
+        self.den = den
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def min_exponent(self, var: str) -> int:
+        """Vanishing order along {var = 0}: exact because the Laurent ring is a
+        domain, so orders of num and den subtract."""
+        if self.is_zero():
+            raise ChartError("vanishing order of the zero function")
+        return self.num.min_exponent(var) - self.den.min_exponent(var)
+
+    def restrict(self, var: str) -> "LaurentFraction":
+        """Restriction to the divisor {var = 0}, defined when min_exponent == 0:
+        keep the lowest var-order parts of num and den."""
+        if self.min_exponent(var) != 0:
+            raise ChartError(
+                f"restriction to {{{var}=0}} of a function with nonzero order"
+            )
+        return LaurentFraction(self.num.lowest_part(var), self.den.lowest_part(var))
+
+    def as_constant(self) -> Fraction:
+        """Value when num and den are both constants."""
+        nt, dt = self.num.terms, self.den.terms
+        if set(nt) | set(dt) > {()}:
+            raise ChartError("fraction is not constant")
+        return nt.get((), Fraction(0)) / dt[()]
+
+    def __str__(self) -> str:
+        if self.den == LaurentPoly.const(1):
+            return str(self.num)
+        return f"({self.num}) / ({self.den})"
+
+    __repr__ = __str__

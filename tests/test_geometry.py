@@ -225,6 +225,26 @@ def test_degree_reads_volumes_off_the_hermite_form(lam, monkeypatch):
     assert degree(ps, lattices) == schubert_degree(rs, lam, w.w0.id)
 
 
+def test_lattices_build_without_vectors(gr24, monkeypatch):
+    """The bond and cut lattices are built from integer rows alone; only the
+    degree's bottom-vertex checks make vectors."""
+    rs = RootSystem.from_type("A3")
+    a3 = bonds(rs, (1, 1, 1), weyl_group(rs))
+    built = []
+    init = AVector.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AVector, "__init__", counting)
+    gr24_lattices = {c: lattice_LC(gr24, c) for c in gr24.maximal_chains()}
+    a3_lattices = {c: lattice_LC_lambda(a3, c) for c in a3.maximal_chains()}
+    assert built == []
+    assert degree(gr24, gr24_lattices) == 2
+    assert degree(a3, a3_lattices) == 720
+
+
 def test_degree_gr24(gr24):
     assert degree(gr24, default_lattices(gr24)) == 2
     assert hodge_degree(gr24) == 2

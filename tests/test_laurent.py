@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chain_oracles import LaurentFraction
 from stratval.errors import ChartError, SchemaError
-from stratval.laurent import LaurentFraction, LaurentPoly, parse_laurent
+from stratval.laurent import LaurentPoly, parse_laurent
 
 
 def test_parse_basic():

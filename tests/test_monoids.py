@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chain_oracles
 from chain_oracles import decompose_uncached
 from stratval.avector import AVector, degree_of
 from stratval.errors import SchemaError, ValidationFailure
 from stratval.monoids import (
+    LatticeQ,
     MonoidFan,
     decompose,
     fan_mult,
@@ -102,6 +104,53 @@ def test_lattice_generated():
 def test_lattice_generated_rank_one():
     lat = lattice_generated([AVector.unit("p")], ("p",))
     assert lat.rank == 1
+
+
+@st.composite
+def scaled_lattices(draw):
+    """A lattice from 1-4 random integer rows over 1-4 coordinates and a
+    random denominator; dependent and zero rows occur, so the rank ranges
+    from 0 to full.  With random positive degrees and a rational vector that
+    is, half the time, a rational combination of the rows."""
+    n = draw(st.integers(1, 4))
+    coords = tuple(f"p{i}" for i in range(n))
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    if draw(st.booleans()):  # one row a combination of the others
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    lat = LatticeQ.from_scaled_rows(coords, rows, draw(st.integers(1, 12)))
+    fdeg = {p: draw(st.integers(1, 3)) for p in coords}
+    entry = st.fractions(-3, 3, max_denominator=5)
+    if draw(st.booleans()):
+        v = AVector.zero()
+        for b in chain_oracles.eager_basis(lat):
+            v = v + b.scale(draw(entry))
+    else:
+        v = AVector({p: draw(entry) for p in coords})
+    return lat, fdeg, v
+
+
+def kernel_or_refusal(kernel):
+    try:
+        sub = kernel()
+    except ValidationFailure as exc:
+        return str(exc)
+    return sub.coords, sub.rows, sub.den
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_lattices())
+def test_integer_rows_match_the_rational_basis(case):
+    """The basis derived from the rows, the degree-zero sublattice and the
+    coordinates agree with the computations over Q."""
+    lat, fdeg, v = case
+    assert lat.rank == len(lat.rows)
+    assert lat.basis == chain_oracles.eager_basis(lat)
+    assert kernel_or_refusal(lambda: lat.kernel_of_degree(fdeg)) == kernel_or_refusal(
+        lambda: chain_oracles.kernel_of_degree(lat, fdeg)
+    )
+    assert lat.coords_in_basis(v) == chain_oracles.coords_in_basis(lat, v)
 
 
 def test_gr24_valuation_images_generate_unit_lattice(gr24, gr24_atlas):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chain_oracles import LaurentFraction
 from stratval.avector import AVector
 from stratval.charts import ChainChart
 from stratval.errors import ChartError
-from stratval.laurent import LaurentFraction, LaurentPoly, parse_laurent
+from stratval.laurent import LaurentPoly, parse_laurent
 from stratval.poset import StratPoset
 from stratval.valuation import (
     ambient_image,

@@ -310,6 +310,19 @@ def test_empty_path(a2):
     assert nu(paths[0]).is_zero()
 
 
+def test_degree_zero_lists_no_chains(monkeypatch):
+    """The one path of degree zero is found without the maximal chains, which
+    D4 has millions of."""
+    from stratval.poset import StratPoset
+
+    monkeypatch.setattr(
+        StratPoset, "maximal_chains",
+        lambda self: pytest.fail("degree 0 listed the maximal chains"),
+    )
+    rep = character_check(RootSystem.from_type("D4"), (1, 1, 1, 1), 0)
+    assert rep.ok and rep.paths == [LSPath((), ())]
+
+
 def test_a3_full_flag():
     rs = RootSystem.from_type("A3")
     group = weyl_group(rs)
