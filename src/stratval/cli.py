@@ -175,7 +175,7 @@ def cmd_lspaths(type_name: str, lam_text: str, degree: int, tau: str | None) -> 
     rs = RootSystem.from_type(type_name)
     group = weyl_group(rs)
     poset = bonds(rs, lam, group)  # validates the weight before weyl_dim reads it
-    report = character_check(rs, lam, degree, group=group)
+    report = character_check(rs, lam, degree, group=group, poset=poset)
     tau_id = tau or group.w0.id
     doc = {
         "schema": "stratval-lspaths/1",

@@ -5,8 +5,11 @@ pairing against a coroot is exact integer arithmetic.  The flag-variety
 stratification has the Weyl group with Bruhat order as its poset, degrees
 all one, and the bond on a cover pair sigma over tau with tau = s_beta sigma
 equal to the pairing of tau(lambda) with the coroot of beta.  LS-paths are
-enumerated through the telescoping lattice of cut sequences and validated
-independently against the integrality chain predicate.
+enumerated by a depth-first walk over (element, cut) states: a step from tau
+down to sigma may cut only at multiples of 1 / g(sigma, tau), the gcd of the
+bonds along a maximal chain of the Bruhat interval, read from a table built
+in one pass over the covers.  Each enumerated path is validated against that
+table.
 
 The Freudenthal character recursion lives here as well, deliberately sharing
 no code with the path enumeration: it is the oracle the path model is
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from stratval.avector import AVector
 from stratval.errors import BoundError, SchemaError, StratvalError, ValidationFailure
@@ -93,7 +96,6 @@ class RootSystem:
         self.rank = n
         self.sym = self._symmetrizer()
         self.positive_roots = self._generate_positive_roots()
-        self._winv = _invert_rational([list(map(Fraction, r)) for r in self.cartan])
 
     @staticmethod
     def from_type(type_name: str) -> "RootSystem":
@@ -175,14 +177,6 @@ class RootSystem:
         """<lambda, beta^vee> = 2 (lambda, beta) / (beta, beta)."""
         return 2 * self.weight_root_form(lam, beta) / self.root_form(beta, beta)
 
-    def weight_form(self, lam, mu) -> Fraction:
-        """(lambda, mu) for weights in the omega-basis."""
-        mu_alpha = _mat_vec(self._winv, [Fraction(x) for x in mu])
-        return sum(
-            (mu_alpha[j] * self.sym[j] * lam[j] for j in range(self.rank)),
-            Fraction(0),
-        )
-
     def root_in_omega(self, beta: tuple[int, ...]) -> Weight:
         return tuple(
             sum(self.cartan[i][j] * beta[j] for j in range(self.rank))
@@ -190,19 +184,22 @@ class RootSystem:
         )
 
     def reflection_matrix(self, beta: tuple[int, ...]) -> Matrix:
-        """s_beta acting on the omega-basis; integral by crystallography."""
+        """s_beta acting on the omega-basis; integral by crystallography.
+
+        Column j subtracts <omega_j, beta^vee> = 2 beta_j sym_j / (beta, beta)
+        times beta."""
         beta_omega = self.root_in_omega(beta)
-        rows = []
-        for k in range(self.rank):
-            row = []
-            for j in range(self.rank):
-                unit = tuple(int(t == j) for t in range(self.rank))
-                pair = self.coroot_pairing(unit, beta)
-                if pair.denominator != 1:
-                    raise StratvalError("non-integral coroot pairing")
-                row.append(int(k == j) - beta_omega[k] * int(pair))
-            rows.append(tuple(row))
-        return tuple(rows)
+        norm = sum(b * d * c for b, d, c in zip(beta, self.sym, beta_omega))
+        coroot = []
+        for b, d in zip(beta, self.sym):
+            pair = 2 * b * d / norm
+            if pair.denominator != 1:
+                raise StratvalError("non-integral coroot pairing")
+            coroot.append(int(pair))
+        return tuple(
+            tuple(int(k == j) - bk * cj for j, cj in enumerate(coroot))
+            for k, bk in enumerate(beta_omega)
+        )
 
 
 def _invert_rational(mat):
@@ -219,10 +216,6 @@ def _invert_rational(mat):
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
-
-
-def _mat_vec(mat, vec):
-    return [sum(mat[i][j] * vec[j] for j in range(len(vec))) for i in range(len(mat))]
 
 
 def _mat_mul_int(a: Matrix, b: Matrix) -> Matrix:
@@ -439,51 +432,40 @@ def weight(path: LSPath, group: WeylGroup, lam: Weight) -> Weight:
     return tuple(int(x) for x in total)
 
 
-def _interval_chain(group: WeylGroup, lower: str, upper: str):
-    """One maximal chain in the Bruhat interval, as (element, root) steps
-    upward, found by BFS over covers."""
-    up = {}
-    for u, l, beta in group.covers:
-        up.setdefault(l, []).append((u, beta))
-    target_len = group.by_id[upper].length
-    frontier = [(lower, [])]
-    while frontier:
-        nxt = []
-        for current, steps in frontier:
-            if current == upper:
-                return steps
-            if group.by_id[current].length >= target_len:
-                continue
-            for u, beta in sorted(up.get(current, [])):
-                nxt.append((u, steps + [(u, beta)]))
-        frontier = nxt
-    return None
+def chain_gcds(poset: StratPoset) -> dict[str, dict[str, int]]:
+    """g(sigma, tau) for every sigma < tau, as gcds[tau][sigma]: the gcd of
+    the bonds along a maximal chain of the interval [sigma, tau].
+
+    One bottom-up pass over the covers: g(sigma, tau) = gcd(b(tau, tau'),
+    g(sigma, tau')) through the first listed cover tau' of tau above sigma."""
+    gcds: dict[str, dict[str, int]] = {}
+    for tau in sorted(poset.ids, key=poset.length):
+        row: dict[str, int] = {}
+        for low, b in poset.covers_of[tau]:
+            row.setdefault(low, b)
+            for sigma, g in gcds[low].items():
+                if sigma not in row:
+                    row[sigma] = gcd(b, g)
+        gcds[tau] = row
+    return gcds
 
 
-def is_a_lambda_chain(
-    group: WeylGroup, rs: RootSystem, lam: Weight, a: Fraction,
-    lower: str, upper: str,
+def validate_ls(
+    path: LSPath, group: WeylGroup, rs: RootSystem, lam: Weight,
+    gcds: dict[str, dict[str, int]] | None = None,
 ) -> bool:
-    """The integrality predicate on one maximal chain of the interval; by the
-    all-or-none property of such chains, one witness decides."""
-    steps = _interval_chain(group, lower, upper)
-    if steps is None:
-        return False
-    for elem_id, beta in steps:
-        pair = rs.coroot_pairing(group.by_id[elem_id].act(lam), beta)
-        if (a * pair).denominator != 1:
-            return False
-    return True
-
-
-def validate_ls(path: LSPath, group: WeylGroup, rs: RootSystem, lam: Weight) -> bool:
+    """Directions strictly decrease in Bruhat order, and each cut c between
+    tau and the next direction sigma has c * g(sigma, tau) integral."""
     if not path.dirs:
         return True
+    if gcds is None:
+        gcds = chain_gcds(bonds(rs, lam, group))
     for k in range(len(path.dirs) - 1):
         upper, lower = path.dirs[k], path.dirs[k + 1]
         if group.by_id[upper].length <= group.by_id[lower].length:
             return False
-        if not is_a_lambda_chain(group, rs, lam, path.cuts[k], lower, upper):
+        g = gcds[upper].get(lower)
+        if g is None or (path.cuts[k] * g).denominator != 1:
             return False
     return True
 
@@ -492,22 +474,46 @@ def enumerate_ls(
     rs: RootSystem, lam: Weight, m: int, group: WeylGroup | None = None,
     poset: StratPoset | None = None,
 ) -> list[LSPath]:
-    """All LS-paths of the given shape and degree: union of the per-chain cut
-    lattices, then independently validated against the chain predicate."""
+    """All LS-paths of the given shape and degree, sorted by nu(path).key().
+
+    A depth-first walk over (element, cut) states with integer cuts over the
+    lcm L of the bonds: from (tau, k) a path either ends with cut mL or steps
+    down to some sigma < tau at a cut in (k, mL) that is a multiple of
+    L / g(sigma, tau).  Every path is then validated against the g table."""
     _check_regular_dominant(lam, rs.rank)
-    if m == 0:  # the one path of degree zero, without listing the chains
+    if m == 0:  # the one path of degree zero
         return [EMPTY_PATH]
     group = group or weyl_group(rs)
     poset = poset if poset is not None else bonds(rs, lam, group)
-    vectors: set[AVector] = set()
-    for chain in poset.maximal_chains():
-        vectors.update(ls_lattice_points(poset, chain, m))
-    paths = [path_from_vector(u, poset) for u in sorted(vectors, key=AVector.key)]
+    gcds = chain_gcds(poset)
+    den = lcm(1, *poset.bond.values())
+    top = m * den
+    steps = {
+        tau: [(sigma, den // g) for sigma, g in row.items()]
+        for tau, row in gcds.items()
+    }
+    paths: list[LSPath] = []
+    dirs: list[str] = []
+    cuts: list[Fraction] = []
+
+    def walk(tau: str, k: int):
+        dirs.append(tau)
+        paths.append(LSPath(tuple(dirs), (*cuts, Fraction(m))))
+        for sigma, step in steps[tau]:
+            for cut in range(k + step - k % step, top, step):
+                cuts.append(Fraction(cut, den))
+                walk(sigma, cut)
+                cuts.pop()
+        dirs.pop()
+
+    for tau in poset.ids:
+        walk(tau, 0)
+    paths.sort(key=lambda p: nu(p).key())
     for path in paths:
-        if not validate_ls(path, group, rs, lam):
+        if not validate_ls(path, group, rs, lam, gcds):
             raise StratvalError(
                 f"enumerated path {path} fails the chain predicate; "
-                "lattice and path model disagree"
+                "walk and path model disagree"
             )
     return paths
 
@@ -515,14 +521,28 @@ def enumerate_ls(
 # ------------------------------------------------------- character oracle ----
 
 def freudenthal_character(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
-    """Weight multiplicities of the Weyl module by the Freudenthal recursion."""
+    """Weight multiplicities of the Weyl module by the Freudenthal recursion.
+
+    The forms (mu, nu) = mu . diag(sym) Cartan^-1 . nu and (mu, beta) are
+    scaled by the lcm of their denominators, so the recursion runs in
+    integers."""
     if any(x < 0 for x in lam):
         raise SchemaError("highest weight must be dominant")
+    winv = _invert_rational([list(map(Fraction, r)) for r in rs.cartan])
+    form = [[d * x for x in row] for d, row in zip(rs.sym, winv)]
+    scale = lcm(*(d.denominator for d in rs.sym),
+                *(x.denominator for row in form for x in row))
+    form = [[int(scale * x) for x in row] for row in form]
+    sym = [int(scale * d) for d in rs.sym]
+
+    def norm(mu: Weight) -> int:
+        return sum(x * sum(f * y for f, y in zip(row, mu)) for x, row in zip(mu, form))
+
     rho = tuple(1 for _ in range(rs.rank))
-    lam_rho = tuple(l + r for l, r in zip(lam, rho))
-    norm_top = rs.weight_form(lam_rho, lam_rho)
+    norm_top = norm(tuple(l + r for l, r in zip(lam, rho)))
     pos_omega = [
-        (beta, rs.root_in_omega(beta), sum(beta)) for beta in rs.positive_roots
+        (rs.root_in_omega(beta), sum(beta), [b * d for b, d in zip(beta, sym)])
+        for beta in rs.positive_roots
     ]
     simple_omega = [
         rs.root_in_omega(tuple(int(t == i) for t in range(rs.rank)))
@@ -542,23 +562,22 @@ def freudenthal_character(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
         for mu in sorted(nxt):
             if mu in mults:
                 continue
-            total = Fraction(0)
-            for beta, beta_o, height in pos_omega:
+            total = 0
+            for beta_o, height, beta_sym in pos_omega:
                 # mu + k*beta sits k*height levels up; past the top it is gone
                 for k in range(1, depth // height + 1):
                     up = tuple(m + k * b for m, b in zip(mu, beta_o))
                     cnt = mults.get(up, 0)
                     if cnt:
-                        total += 2 * cnt * rs.weight_root_form(up, beta)
-            mu_rho = tuple(m + r for m, r in zip(mu, rho))
-            denom = norm_top - rs.weight_form(mu_rho, mu_rho)
+                        total += 2 * cnt * sum(u * b for u, b in zip(up, beta_sym))
+            denom = norm_top - norm(tuple(m + r for m, r in zip(mu, rho)))
             if denom <= 0 or total <= 0:
                 continue
-            mult = total / denom
-            if mult.denominator != 1:
+            mult, rem = divmod(total, denom)
+            if rem:
                 raise StratvalError("Freudenthal recursion produced a non-integer")
-            if int(mult) > 0:
-                mults[mu] = int(mult)
+            if mult > 0:
+                mults[mu] = mult
                 found.append(mu)
         level = found
     return mults
@@ -593,7 +612,8 @@ CHARACTER_DIM_BOUND = 100_000
 
 
 def character_check(rs: RootSystem, lam: Weight, m: int,
-                    group: WeylGroup | None = None) -> CharacterReport:
+                    group: WeylGroup | None = None,
+                    poset: StratPoset | None = None) -> CharacterReport:
     """Compare the multiset of path endpoint weights with the Freudenthal
     character of the m-fold dilated weight."""
     if m < 0:
@@ -606,7 +626,7 @@ def character_check(rs: RootSystem, lam: Weight, m: int,
             f"character comparison refused: dim {dim} exceeds "
             f"{CHARACTER_DIM_BOUND}"
         )
-    paths = enumerate_ls(rs, lam, m, group=group)
+    paths = enumerate_ls(rs, lam, m, group=group, poset=poset)
     got: dict[Weight, int] = {}
     for path in paths:
         w = weight(path, group, lam) if path.dirs else tuple(0 for _ in lam)

@@ -8,8 +8,10 @@ every nonempty set of maximal chains, the degree sums over an explicit list
 of maximal chains, a decomposition that enumerates its slice on every call,
 Ehrhart counting over the bounding box of a projected simplex, a lattice's
 rational basis with the degree-zero sublattice and coordinates computed
-through it over Q, and formal fractions of Laurent polynomials for the
-expanded valuation recursion.
+through it over Q, formal fractions of Laurent polynomials for the
+expanded valuation recursion, LS paths as the union of the cut-lattice points
+over every maximal chain, and the LS integrality predicate checked on one
+maximal chain of each Bruhat interval found by BFS.
 """
 
 from __future__ import annotations
@@ -31,6 +33,16 @@ from stratval.monoids import (
     _unsplit,
 )
 from stratval.poset import Chain, StratPoset
+from stratval.weyl import (
+    LSPath,
+    RootSystem,
+    Weight,
+    WeylGroup,
+    bonds,
+    ls_lattice_points,
+    path_from_vector,
+    weyl_group,
+)
 
 EHRHART_GUARD = 10_000_000
 
@@ -324,3 +336,67 @@ class LaurentFraction:
         return f"({self.num}) / ({self.den})"
 
     __repr__ = __str__
+
+
+def enumerate_ls_by_chains(
+    rs: RootSystem, lam: Weight, m: int, group: WeylGroup | None = None
+) -> list[LSPath]:
+    """LS paths of degree m as the union over every maximal chain of the
+    chain's cut-lattice points, read back as paths."""
+    group = group or weyl_group(rs)
+    poset = bonds(rs, lam, group)
+    vectors: set[AVector] = set()
+    for chain in poset.maximal_chains():
+        vectors.update(ls_lattice_points(poset, chain, m))
+    return [path_from_vector(u, poset) for u in sorted(vectors, key=AVector.key)]
+
+
+def _interval_chain(group: WeylGroup, lower: str, upper: str):
+    """One maximal chain in the Bruhat interval, as (element, root) steps
+    upward, found by BFS over covers."""
+    up = {}
+    for u, l, beta in group.covers:
+        up.setdefault(l, []).append((u, beta))
+    target_len = group.by_id[upper].length
+    frontier = [(lower, [])]
+    while frontier:
+        nxt = []
+        for current, steps in frontier:
+            if current == upper:
+                return steps
+            if group.by_id[current].length >= target_len:
+                continue
+            for u, beta in sorted(up.get(current, [])):
+                nxt.append((u, steps + [(u, beta)]))
+        frontier = nxt
+    return None
+
+
+def is_a_lambda_chain(
+    group: WeylGroup, rs: RootSystem, lam: Weight, a: Fraction,
+    lower: str, upper: str,
+) -> bool:
+    """The integrality predicate on one maximal chain of the interval; by the
+    all-or-none property of such chains, one witness decides."""
+    steps = _interval_chain(group, lower, upper)
+    if steps is None:
+        return False
+    for elem_id, beta in steps:
+        pair = rs.coroot_pairing(group.by_id[elem_id].act(lam), beta)
+        if (a * pair).denominator != 1:
+            return False
+    return True
+
+
+def validate_ls_by_bfs(
+    path: LSPath, group: WeylGroup, rs: RootSystem, lam: Weight
+) -> bool:
+    """`weyl.validate_ls` with each interval's predicate decided by
+    `is_a_lambda_chain` instead of the gcd table."""
+    for k in range(len(path.dirs) - 1):
+        upper, lower = path.dirs[k], path.dirs[k + 1]
+        if group.by_id[upper].length <= group.by_id[lower].length:
+            return False
+        if not is_a_lambda_chain(group, rs, lam, path.cuts[k], lower, upper):
+            return False
+    return True

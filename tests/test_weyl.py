@@ -1,7 +1,12 @@
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chain_oracles import enumerate_ls_by_chains, validate_ls_by_bfs
 from stratval.avector import AVector
 from stratval.errors import BoundError, SchemaError, ValidationFailure
 from stratval.weyl import (
@@ -9,6 +14,7 @@ from stratval.weyl import (
     RootSystem,
     bonds,
     cartan_matrix,
+    chain_gcds,
     character_check,
     enumerate_ls,
     freudenthal_character,
@@ -372,3 +378,86 @@ def test_sl3b_degree_one_leaves_are_the_ls_lattice_points(a2):
     half_12 = AVector({"12": Fraction(1, 2), "2": Fraction(1, 2)})
     assert quasi_valuation(parse_laurent("h2"), atlas, ws.ps, order) == half_21
     assert quasi_valuation(parse_laurent("h1"), atlas, ws.ps, order) == half_12
+
+
+@pytest.mark.parametrize(
+    "type_name,lam,degrees",
+    [("A2", (1, 1), (0, 1, 2, 3)), ("A2", (2, 1), (1, 2, 3)),
+     ("B2", (1, 1), (0, 1, 2, 3)), ("B2", (1, 2), (1, 2, 3)),
+     ("G2", (1, 1), (1, 2)), ("A3", (1, 1, 1), (1, 2))],
+)
+def test_walk_equals_chain_union(type_name, lam, degrees):
+    rs = RootSystem.from_type(type_name)
+    group = weyl_group(rs)
+    for m in degrees:
+        assert enumerate_ls(rs, lam, m, group=group) == enumerate_ls_by_chains(
+            rs, lam, m, group
+        ), m
+
+
+@pytest.mark.parametrize(
+    "type_name,lam",
+    [("A2", (1, 1)), ("A2", (2, 3)), ("B2", (1, 1)), ("B2", (3, 2)),
+     ("G2", (1, 1)), ("A3", (1, 1, 1)), ("A3", (2, 1, 3))],
+)
+def test_chain_gcds_do_not_depend_on_the_cover(type_name, lam):
+    """Every cover tau' of tau above sigma gives g(sigma, tau) =
+    gcd(b(tau, tau'), g(sigma, tau')), and the table lists exactly the
+    elements strictly below each tau."""
+    ps = bonds(RootSystem.from_type(type_name), lam)
+    gcds = chain_gcds(ps)
+    for tau in ps.ids:
+        assert set(gcds[tau]) == ps.below(tau) - {tau}
+        for low, b in ps.covers_of[tau]:
+            assert gcds[tau][low] == b
+            for sigma, g in gcds[low].items():
+                assert gcds[tau][sigma] == gcd(b, g)
+
+
+@lru_cache(maxsize=None)
+def _ls_setup(type_name, lam):
+    rs = RootSystem.from_type(type_name)
+    group = weyl_group(rs)
+    return rs, group, chain_gcds(bonds(rs, lam, group))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([("A2", (1, 1)), ("A2", (2, 1)), ("B2", (1, 1)),
+                     ("B2", (1, 3)), ("G2", (1, 1)), ("G2", (2, 1))]),
+    st.lists(st.integers(0, 11), min_size=1, max_size=4),
+    st.booleans(),
+    st.lists(st.builds(Fraction, st.integers(0, 18), st.sampled_from([1, 2, 3, 4, 6])),
+             min_size=3, max_size=3),
+)
+def test_validate_ls_agrees_with_the_bfs_oracle(case, picks, by_length, cuts):
+    """Random directions, sorted by decreasing length or left as drawn, and
+    random cuts: the gcd table decides as the BFS witness chain does."""
+    type_name, lam = case
+    rs, group, gcds = _ls_setup(type_name, lam)
+    ids = [w.id for w in group.elements]
+    dirs = [ids[i % len(ids)] for i in picks]
+    if by_length:
+        dirs = sorted(set(dirs), key=lambda d: -group.by_id[d].length)
+    path = LSPath(tuple(dirs), tuple(cuts[: len(dirs) - 1]) + (Fraction(3),))
+    want = validate_ls_by_bfs(path, group, rs, lam)
+    assert validate_ls(path, group, rs, lam, gcds) == want
+    assert validate_ls(path, group, rs, lam) == want
+
+
+def test_enumerate_ls_lists_no_chains(monkeypatch):
+    """The walk reads the gcd table, never the maximal chains."""
+    from stratval.poset import StratPoset
+
+    monkeypatch.setattr(
+        StratPoset, "maximal_chains",
+        lambda self: pytest.fail("enumerate_ls listed the maximal chains"),
+    )
+    rep = character_check(RootSystem.from_type("A3"), (1, 1, 1), 1)
+    assert rep.ok and rep.path_count == 64
+
+
+def test_d4_rho_character_check():
+    """D4 has 3.5M maximal chains; the walk finds all 2^12 paths of rho."""
+    rep = character_check(RootSystem.from_type("D4"), (1, 1, 1, 1), 1)
+    assert rep.ok and rep.path_count == rep.dim == 4096
