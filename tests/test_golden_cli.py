@@ -2,7 +2,8 @@
 
 `tests/golden_cli.json` pins the observable behaviour of `validate`,
 `degree`, `hilbert` and `lspaths` on the bundled sets, two generic models,
-the lambda = rho LS-path cases and a few refused inputs.  A refactor must
+the lambda = rho LS-path cases and a few refused inputs, and of `valuate`
+and `subduct` on one polynomial of each small degree per set.  A refactor must
 leave every fingerprint unchanged.  To rewrite the file after a deliberate
 change of output:
 
@@ -38,6 +39,26 @@ LSPATHS = [
     ("G2", "1,1", (1,), "121"),
     ("A3", "1,1,1", (1,), "213"),
 ]
+# one polynomial of each degree 1-4 per bundled set; on the elliptic sets
+# also a degree-4 monomial whose chart image runs past the order limits
+VALUATE = {
+    "elliptic1": ["y", "x*z - y^2", "x^3 + y*z^2", "z^4 + x^4", "x^2*z^2"],
+    "elliptic2": ["y", "x*z - y^2", "x^3 + y*z^2", "z^4 + x^4", "x^2*z^2"],
+    "gr24": ["x14", "x14*x23 - x12*x34", "x13^2*x24", "x12*x34*x14*x23 + x24^4"],
+    "psl2": ["x + y", "x*t - y*z", "z^3", "x^2*y*t + t^4"],
+    "pset_p2": ["x1", "x1*x2 + x3^2", "x1*x2*x3", "x2^4 - x1^3*x3"],
+    "quadric": ["t", "y*z + x^2", "t^3 - x*y*z", "x^4 + y^2*z^2"],
+    "sl3b": ["fe", "f12*f21 + h1^2", "f1*f2*f121", "h1^4 - fe*f121*h2^2"],
+    "torus_t2": ["xA", "xA*xB + x0^2", "xT*xnT*x0", "xnA^4 + xB^3*x0"],
+}
+# one polynomial of each degree 1-3
+SUBDUCT = {
+    "gr24": ["x13", "x13*x24", "x14*x23^2 + x12*x34*x13"],
+    "pset_p2": ["x2", "x1*x3 + x2^2", "x1*x2*x3 + x2^3"],
+    "quadric": ["z", "y*z + t^2", "y*z^2 + t^3"],
+}
+# the ring's relation: zero on the curve, refused by the order guard
+ELLIPTIC_RELATION = "y^2*z - x^3 + x*z^2"
 
 
 def _workspace_cases(name: str, root: str) -> list[tuple[str, list[str]]]:
@@ -68,6 +89,17 @@ def cases(generic_root: str) -> list[tuple[str, list[str]]]:
     out.append(
         ("hilbert --max -3 gr24", ["hilbert", "-w", bundled("gr24"), "--max", "-3"])
     )
+    for command, table in (("valuate", VALUATE), ("subduct", SUBDUCT)):
+        for name, polys in table.items():
+            for poly in polys:
+                out.append((
+                    f"{command} {name} {poly}",
+                    [command, "-w", bundled(name), "--poly", poly],
+                ))
+    out.append((
+        f"valuate elliptic1 {ELLIPTIC_RELATION}",
+        ["valuate", "-w", bundled("elliptic1"), "--poly", ELLIPTIC_RELATION],
+    ))
     return out
 
 
