@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 
 from stratval.errors import ChartError, SchemaError, json_int
-from stratval.laurent import LaurentPoly, parse_laurent
+from stratval.laurent import LaurentPoly, Terms, parse_laurent
 from stratval.poset import Chain, StratPoset
 
 
@@ -32,6 +32,12 @@ class ChainChart:
     restricted_fs: list[LaurentPoly] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # powers of the ambient_map entries, (var, exponent) -> terms, filled by
+    # valuation.ambient_image and truncated as it truncates; nothing changes
+    # ambient_map after load, so the table never goes stale
+    _powers: dict[tuple[str, int], Terms] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def cone_var(self) -> str:
@@ -39,10 +45,14 @@ class ChainChart:
 
     def check_order(self, var: str, nu: int) -> None:
         if self.order_limits and abs(nu) > self.order_limits.get(var, abs(nu)):
-            raise ChartError(
-                f"order {nu} along {var} exceeds the chart's faithful range "
-                f"{self.order_limits[var]}; truncated data cannot decide it"
-            )
+            raise self.order_refusal(var, str(nu))
+
+    def order_refusal(self, var: str, order: str) -> ChartError:
+        """The order guard's refusal of an order along var past its limit."""
+        return ChartError(
+            f"order {order} along {var} exceeds the chart's faithful range "
+            f"{self.order_limits[var]}; truncated data cannot decide it"
+        )
 
     def restricted_chain_functions(self) -> list[LaurentPoly]:
         """f_{p_k} restricted through the outer divisor variables, for each k.

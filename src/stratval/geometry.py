@@ -2,10 +2,7 @@
 
 The complex is the order complex of the poset realized with vertices
 e_p / deg f_p.  The volume of each maximal simplex, measured in its chain's
-lattice, is read off the Hermite normal form of that lattice.  The rational
-structure (the bottom vertex projected away, the rest rewritten in a basis of
-the degree-zero sublattice) serves the tests only, as a check on that
-closed form.
+lattice, is read off the Hermite normal form of that lattice.
 Hilbert functions are sums over faces; sums over chains are cover passes.
 """
 
@@ -31,14 +28,6 @@ from stratval.poset import Chain, StratPoset
 class SimplexQ:
     chain: Chain
     vertices: list[AVector]   # e_p / deg f_p, top-down
-
-
-@dataclass
-class RationalStructure:
-    chain: Chain
-    lattice: LatticeQ
-    sublattice: LatticeQ | None          # degree-zero part, rank r; None when r=0
-    points: list[list[Fraction]]         # simplex vertices in Z^r coordinates
 
 
 def no_complex(ps: StratPoset) -> list[SimplexQ]:
@@ -84,63 +73,12 @@ def _rank_mismatch(rank: int, r: int) -> ValidationFailure:
     return ValidationFailure(f"degree-zero sublattice has rank {rank}, expected {r}")
 
 
-def rational_structure(
-    ps: StratPoset, chain: Chain, lattice: LatticeQ
-) -> RationalStructure:
-    """Project away the bottom vertex and rewrite in a degree-zero basis."""
-    ell1 = _bottom_vertex(ps, chain, lattice)
-    if len(chain) == 1:
-        return RationalStructure(chain, lattice, None, [[]])
-    sub = lattice.kernel_of_degree(ps.fdeg)
-    r = len(chain) - 1
-    if sub.rank != r:
-        raise _rank_mismatch(sub.rank, r)
-    points = []
-    for p in chain:
-        w = AVector.unit(p, Fraction(1, ps.fdeg[p])) - ell1
-        coords = sub.coords_in_basis(w)
-        if coords is None:
-            raise ValidationFailure(f"vertex of {p} is not in the projected span")
-        points.append(coords)
-    return RationalStructure(chain, lattice, sub, points)
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
-
-
-def volume(rs: RationalStructure) -> Fraction:
-    """Euclidean volume |det of edge matrix| / r!; a point has volume 1."""
-    r = len(rs.chain) - 1
-    if r == 0:
-        return Fraction(1)
-    base = rs.points[-1]
-    edges = [[a - b for a, b in zip(pt, base)] for pt in rs.points[:-1]]
-    d = _det(edges)
-    if d == 0:
-        raise ValidationFailure("degenerate simplex: zero volume")
-    return abs(d) / factorial(r)
-
-
 def chain_volume(ps: StratPoset, chain: Chain, lattice: LatticeQ) -> Fraction:
-    """volume(rational_structure(ps, chain, lattice)) in closed form, with
-    the same refusals.
+    """The volume of the chain's simplex in its lattice, in closed form: the
+    bottom vertex projected away, the rest in a basis of the degree-zero
+    sublattice, |det of the edge matrix| / r!.  The test oracles'
+    `rational_structure` and `volume` compute it that way, with the same
+    refusals.
 
     r! vol = |det V| * g / covol(L), where V holds the vertices e_p / deg f_p
     and g generates deg(L).  With h_i the rows of the Hermite normal form of

@@ -14,9 +14,14 @@ from fractions import Fraction
 from stratval.errors import ChartError, SchemaError
 
 Monomial = tuple[tuple[str, int], ...]
+Terms = dict[Monomial, Fraction]
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+def _mono_mul(
+    a: Monomial, b: Monomial, limits: dict[str, int] | None = None
+) -> Monomial | None:
+    """The product a*b; None when its exponent of a variable named in
+    `limits` is above that variable's limit."""
     d = dict(a)
     for v, e in b:
         e2 = d.get(v, 0) + e
@@ -24,7 +29,30 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
             d[v] = e2
         else:
             d.pop(v, None)
+    if limits:
+        for v, top in limits.items():
+            if d.get(v, 0) > top:
+                return None
     return tuple(sorted(d.items()))
+
+
+def _add_term(out: Terms, m: Monomial, c: Fraction) -> None:
+    s = out.get(m, 0) + c
+    if s:
+        out[m] = s
+    else:
+        out.pop(m, None)
+
+
+def _mul_terms(a: Terms, b: Terms, limits: dict[str, int]) -> Terms:
+    """The product of two term dicts, without the terms above the limits."""
+    out: Terms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _mono_mul(m1, m2, limits)
+            if m is not None:
+                _add_term(out, m, c1 * c2)
+    return out
 
 
 class LaurentPoly:
@@ -40,6 +68,13 @@ class LaurentPoly:
                 if c:
                     clean[m] = c
         self.terms = clean
+
+    @staticmethod
+    def _of(terms: Terms) -> "LaurentPoly":
+        """Wrap terms whose coefficients are already nonzero Fractions."""
+        p = LaurentPoly.__new__(LaurentPoly)
+        p.terms = terms
+        return p
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -84,16 +119,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = d.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    d[m] = s
-                else:
-                    d.pop(m, None)
-        return LaurentPoly(d)
+        return LaurentPoly._of(_mul_terms(self.terms, other.terms, {}))
 
     def scale(self, c) -> "LaurentPoly":
         c = Fraction(c)
@@ -145,7 +171,7 @@ class LaurentPoly:
         for m, c in self.terms.items():
             if dict(m).get(var, 0) == k:
                 out[_mono_mul(m, ((var, -k),))] = c
-        return LaurentPoly(out)
+        return LaurentPoly._of(out)
 
     def weighted_degree_parts(self, weights: dict[str, int]) -> dict[int, "LaurentPoly"]:
         parts: dict[int, dict[Monomial, Fraction]] = {}
@@ -154,25 +180,67 @@ class LaurentPoly:
             parts.setdefault(d, {})[m] = c
         return {d: LaurentPoly(t) for d, t in parts.items()}
 
-    def substitute(self, table: dict[str, "LaurentPoly"]) -> "LaurentPoly":
+    def substitute(
+        self,
+        table: dict[str, "LaurentPoly"],
+        limits: dict[str, int] | None = None,
+        powers: dict[tuple[str, int], Terms] | None = None,
+    ) -> "LaurentPoly":
         """Map each variable through table (missing names are an error).
-        Exponents must be nonnegative for substituted variables."""
-        powers: dict[tuple[str, int], LaurentPoly] = {}
-        total = LaurentPoly.zero()
+        Exponents must be nonnegative for substituted variables.
+
+        With `limits`, every product drops the terms whose exponent of a
+        limited variable is above that variable's limit.  That is exact for
+        the terms kept, since no table entry may hold a limited variable at a
+        negative exponent: a dropped term can only feed terms further above.
+
+        Each power table[v]**e is built once, by squaring, and kept in
+        `powers` under (v, e), truncated at the limits; a caller that passes
+        the same dict to many calls must pass the same table and limits."""
+        limits = limits or {}
+        if powers is None:
+            powers = {}
+
+        def power(v: str, e: int) -> Terms:
+            p = powers.get((v, e))
+            if p is not None:
+                return p
+            if e == 0:
+                p = {(): Fraction(1)}
+            elif e == 1:
+                p = {}
+                for m, c in table[v].terms.items():
+                    for w, x in m:
+                        if x < 0 and w in limits:
+                            raise ChartError(
+                                f"the image of {v!r} has a negative exponent of "
+                                f"{w!r}, so a limit on {w!r} would not be exact"
+                            )
+                    if all(x <= limits.get(w, x) for w, x in m):
+                        p[m] = c
+            elif e % 2:
+                p = _mul_terms(power(v, e - 1), power(v, 1), limits)
+            else:
+                half = power(v, e // 2)
+                p = _mul_terms(half, half, limits)
+            powers[v, e] = p
+            return p
+
+        total: Terms = {}
         for m, c in self.terms.items():
-            term = LaurentPoly.const(c)
             for v, e in m:
-                if (v, e) not in powers:
-                    if v not in table:
-                        raise SchemaError(f"unknown variable {v!r} in substitution")
-                    if e < 0:
-                        raise SchemaError(
-                            f"negative exponent on {v!r} cannot be substituted"
-                        )
-                    powers[v, e] = table[v] ** e
-                term = term * powers[v, e]
-            total = total + term
-        return total
+                if v not in table:
+                    raise SchemaError(f"unknown variable {v!r} in substitution")
+                if e < 0:
+                    raise SchemaError(
+                        f"negative exponent on {v!r} cannot be substituted"
+                    )
+            term = {(): c}
+            for v, e in m:
+                term = _mul_terms(term, power(v, e), limits)
+            for mm, cc in term.items():
+                _add_term(total, mm, cc)
+        return LaurentPoly._of(total)
 
     def __str__(self) -> str:
         if not self.terms:

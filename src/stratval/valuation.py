@@ -33,7 +33,9 @@ Factors = list[tuple[LaurentPoly, int]]
 class ValResult:
     value: AVector                     # embedded in Q^A
     chain: Chain
-    sequence: list[Factors]            # g_r, ..., g_0, each as factors
+    # g_r, ..., g_0, each as factors; g_r is the chart image, truncated at
+    # the first divisor variable's order limit (see ambient_image)
+    sequence: list[Factors]
     D: list[Fraction]                  # per-level entries, top-down
     nus: list[int]                     # raw divisor orders
     lc: Fraction                       # iterated leading coefficient
@@ -133,8 +135,25 @@ def sequence_of_functions(
 
 
 def ambient_image(g: LaurentPoly, chart: ChainChart) -> LaurentPoly:
-    """Map a polynomial in ambient coordinates onto the chart."""
-    return g.substitute(chart.ambient_map)
+    """Map a polynomial in ambient coordinates onto the chart, through the
+    chart's table of powers.
+
+    When the chart's order limits name its first divisor variable u, with
+    limit L, the image keeps no term of u-order above L.  That is exact for
+    the recursion: if the order nu along u is at most L, dropping those terms
+    changes neither nu nor the lowest part along u, and every later level
+    reads only that lowest part.  A limit on a later divisor variable is not
+    applied, since a dropped term there could set an outer variable's order;
+    `check_order` guards such limits.  A nonzero g whose truncated image is
+    zero has order above L, which the order guard refuses."""
+    var = chart.divisor_vars[0] if chart.divisor_vars else None
+    limit = (chart.order_limits or {}).get(var)
+    if limit is None:
+        return g.substitute(chart.ambient_map, powers=chart._powers)
+    image = g.substitute(chart.ambient_map, {var: limit}, chart._powers)
+    if image.is_zero() and not g.is_zero():
+        raise chart.order_refusal(var, f"above {limit}")
+    return image
 
 
 def chain_valuation(g: LaurentPoly, chart: ChainChart, ps: StratPoset) -> ValResult:

@@ -418,18 +418,30 @@ def path_from_vector(u: AVector, poset: StratPoset) -> LSPath:
     return LSPath(tuple(supp), tuple(cuts))
 
 
-def weight(path: LSPath, group: WeylGroup, lam: Weight) -> Weight:
-    total = [Fraction(0)] * len(lam)
-    prev = Fraction(0)
+def weight(path: LSPath, group: WeylGroup, lam: Weight,
+           images: dict[str, tuple] | None = None) -> Weight:
+    """The endpoint sum of (c_i - c_{i-1}) * tau_i(lam) over the path's steps,
+    summed in integers over the lcm of the cut denominators.  `images` keeps
+    tau(lam) by the id of tau, filled on use, for callers that weigh many
+    paths of one lam."""
+    if images is None:
+        images = {}
+    den = lcm(1, *(c.denominator for c in path.cuts))
+    total = [0] * len(lam)
+    prev = 0
     for d, c in zip(path.dirs, path.cuts):
-        img = group.by_id[d].act(lam)
-        for i in range(len(lam)):
-            total[i] += (c - prev) * img[i]
-        prev = c
-    for x in total:
-        if x.denominator != 1:
-            raise StratvalError(f"path weight {total} is not integral")
-    return tuple(int(x) for x in total)
+        img = images.get(d)
+        if img is None:
+            img = images[d] = group.by_id[d].act(lam)
+        cut = c.numerator * (den // c.denominator)
+        for i, x in enumerate(img):
+            total[i] += (cut - prev) * x
+        prev = cut
+    if any(x % den for x in total):
+        raise StratvalError(
+            f"path weight {[Fraction(x, den) for x in total]} is not integral"
+        )
+    return tuple(x // den for x in total)
 
 
 def chain_gcds(poset: StratPoset) -> dict[str, dict[str, int]]:
@@ -628,8 +640,9 @@ def character_check(rs: RootSystem, lam: Weight, m: int,
         )
     paths = enumerate_ls(rs, lam, m, group=group, poset=poset)
     got: dict[Weight, int] = {}
+    images: dict[str, tuple] = {}
     for path in paths:
-        w = weight(path, group, lam) if path.dirs else tuple(0 for _ in lam)
+        w = weight(path, group, lam, images)
         got[w] = got.get(w, 0) + 1
     target = freudenthal_character(rs, dilated)
     discrepancies = []

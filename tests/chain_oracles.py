@@ -6,23 +6,25 @@ decompositions from chain-monoid slices kept on the fan.  These are the
 direct forms, kept as oracles for small inputs: the inclusion-exclusion over
 every nonempty set of maximal chains, the degree sums over an explicit list
 of maximal chains, a decomposition that enumerates its slice on every call,
-Ehrhart counting over the bounding box of a projected simplex, a lattice's
+a chain simplex's rational structure and volume by a determinant, Ehrhart
+counting over the bounding box of that projected simplex, a lattice's
 rational basis with the degree-zero sublattice and coordinates computed
-through it over Q, formal fractions of Laurent polynomials for the
-expanded valuation recursion, LS paths as the union of the cut-lattice points
-over every maximal chain, and the LS integrality predicate checked on one
-maximal chain of each Bruhat interval found by BFS.
+through it over Q, chart substitution with every power expanded in full,
+formal fractions of Laurent polynomials for the expanded valuation
+recursion, LS paths as the union of the cut-lattice points over every
+maximal chain, and the LS integrality predicate checked on one maximal chain
+of each Bruhat interval found by BFS.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-
-from math import lcm
+from math import factorial, lcm
 
 from stratval.avector import AVector, degree_of
 from stratval.errors import BoundError, ChartError, SchemaError, ValidationFailure
-from stratval.geometry import RationalStructure, count_face_points
+from stratval.geometry import _bottom_vertex, _rank_mismatch, count_face_points
 from stratval.intlattice import integer_kernel
 from stratval.laurent import LaurentPoly
 from stratval.monoids import (
@@ -146,6 +148,68 @@ def decompose_uncached(a: AVector, fan: MonoidFan, chain: Chain) -> list[AVector
     if result is None:
         raise SchemaError(f"{a} admits no ordered decomposition (incomplete fan?)")
     return result
+
+
+@dataclass
+class RationalStructure:
+    chain: Chain
+    lattice: LatticeQ
+    sublattice: LatticeQ | None          # degree-zero part, rank r; None when r=0
+    points: list[list[Fraction]]         # simplex vertices in Z^r coordinates
+
+
+def rational_structure(
+    ps: StratPoset, chain: Chain, lattice: LatticeQ
+) -> RationalStructure:
+    """Project away the bottom vertex and rewrite in a degree-zero basis."""
+    ell1 = _bottom_vertex(ps, chain, lattice)
+    if len(chain) == 1:
+        return RationalStructure(chain, lattice, None, [[]])
+    sub = lattice.kernel_of_degree(ps.fdeg)
+    r = len(chain) - 1
+    if sub.rank != r:
+        raise _rank_mismatch(sub.rank, r)
+    points = []
+    for p in chain:
+        w = AVector.unit(p, Fraction(1, ps.fdeg[p])) - ell1
+        coords = sub.coords_in_basis(w)
+        if coords is None:
+            raise ValidationFailure(f"vertex of {p} is not in the projected span")
+        points.append(coords)
+    return RationalStructure(chain, lattice, sub, points)
+
+
+def _det(rows: list[list[Fraction]]) -> Fraction:
+    n = len(rows)
+    m = [list(map(Fraction, r)) for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for i in range(col + 1, n):
+            if m[i][col]:
+                f = m[i][col] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return det
+
+
+def volume(rs: RationalStructure) -> Fraction:
+    """Euclidean volume |det of edge matrix| / r!; a point has volume 1."""
+    r = len(rs.chain) - 1
+    if r == 0:
+        return Fraction(1)
+    base = rs.points[-1]
+    edges = [[a - b for a, b in zip(pt, base)] for pt in rs.points[:-1]]
+    d = _det(edges)
+    if d == 0:
+        raise ValidationFailure("degenerate simplex: zero volume")
+    return abs(d) / factorial(r)
 
 
 def ehrhart_count(rs: RationalStructure, n: int) -> int:
@@ -285,6 +349,28 @@ def coords_in_basis(lat: LatticeQ, v: AVector) -> list[Fraction] | None:
     """Exact coordinates of v in the basis by a general solve over Q."""
     matrix = [[Fraction(b[p]) for p in lat.coords] for b in eager_basis(lat)]
     return rational_solve(matrix, [Fraction(v[p]) for p in lat.coords])
+
+
+def substitute_full(g: LaurentPoly, table: dict[str, LaurentPoly]) -> LaurentPoly:
+    """`LaurentPoly.substitute` with no limits and no kept powers: each power
+    expanded by `LaurentPoly.__pow__` for every call, every product formed
+    in full."""
+    powers: dict[tuple[str, int], LaurentPoly] = {}
+    total = LaurentPoly.zero()
+    for m, c in g.terms.items():
+        term = LaurentPoly.const(c)
+        for v, e in m:
+            if (v, e) not in powers:
+                if v not in table:
+                    raise SchemaError(f"unknown variable {v!r} in substitution")
+                if e < 0:
+                    raise SchemaError(
+                        f"negative exponent on {v!r} cannot be substituted"
+                    )
+                powers[v, e] = table[v] ** e
+            term = term * powers[v, e]
+        total = total + term
+    return total
 
 
 class LaurentFraction:

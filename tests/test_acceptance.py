@@ -117,8 +117,8 @@ def test_criterion_4_degree_formula(capsys):
 
 
 def test_criterion_5_elliptic_curve(capsys):
-    from stratval.geometry import default_lattices, degree, no_complex, volume
-    from stratval.geometry import rational_structure
+    from chain_oracles import rational_structure, volume
+    from stratval.geometry import default_lattices, degree, no_complex
     from stratval.monoids import lattice_LC
 
     e1 = load_workspace(bundled("elliptic1"))

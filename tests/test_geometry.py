@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chain_oracles import ehrhart_count
+from chain_oracles import (
+    RationalStructure,
+    ehrhart_count,
+    rational_structure,
+    volume,
+)
 from stratval.avector import AVector
 from stratval.errors import BoundError, SchemaError, ValidationFailure
 from stratval.geometry import (
-    RationalStructure,
     _count_lattice_points,
     chain_volume,
     count_face_points,
@@ -19,9 +23,7 @@ from stratval.geometry import (
     hilbert_incl_excl,
     hodge_degree,
     no_complex,
-    rational_structure,
     sr_hilbert,
-    volume,
 )
 from stratval.monoids import (
     LatticeQ,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chain_oracles import LaurentFraction
+from chain_oracles import LaurentFraction, substitute_full
 from stratval.errors import ChartError, SchemaError
 from stratval.laurent import LaurentPoly, parse_laurent
 
@@ -91,3 +91,63 @@ def test_fraction_restrict_keeps_lowest_part():
     assert frac.restrict("t").as_constant() == 1
     with pytest.raises(ChartError):
         LaurentFraction(t, u).restrict("t")
+
+
+def _polys(names, lo, hi):
+    """Polynomials in the variables of `names`, which must be sorted."""
+    monomial = st.tuples(*(st.integers(lo, hi) for _ in names)).map(
+        lambda exps: tuple((v, e) for v, e in zip(names, exps) if e)
+    )
+    return st.dictionaries(monomial, st.integers(-3, 3).filter(bool), max_size=4).map(
+        lambda terms: LaurentPoly({m: Fraction(c) for m, c in terms.items()})
+    )
+
+
+def _within(p: LaurentPoly, limits: dict[str, int]) -> LaurentPoly:
+    return LaurentPoly({
+        m: c for m, c in p.terms.items()
+        if all(dict(m).get(v, 0) <= top for v, top in limits.items())
+    })
+
+
+@given(
+    _polys("xy", 0, 4), _polys("at", 0, 3), _polys("at", 0, 3),
+    st.integers(0, 8),
+)
+def test_truncated_substitution_keeps_every_term_within_the_limit(g, hx, hy, top):
+    # t appears at nonnegative exponents only; a is not limited
+    hy = hy * LaurentPoly.var("a", -1)
+    table = {"x": hx, "y": hy}
+    full = substitute_full(g, table)
+    powers: dict = {}
+    for _ in range(2):  # the second call reads every power from the table
+        assert g.substitute(table, {"t": top}, powers) == _within(full, {"t": top})
+    assert g.substitute(table) == full
+
+
+def test_substitution_builds_each_power_once():
+    g = parse_laurent("x^5 + x^4*y + 3*y^2")
+    table = {"x": parse_laurent("t + a"), "y": parse_laurent("t^2 - a")}
+    powers: dict = {}
+    g.substitute(table, powers=powers)
+    # x^5 = x^4 * x with x^4 = (x^2)^2
+    assert sorted(powers) == [
+        ("x", 1), ("x", 2), ("x", 4), ("x", 5), ("y", 1), ("y", 2)
+    ]
+    kept = dict(powers)
+    assert g.substitute(table, powers=powers) == substitute_full(g, table)
+    assert all(powers[k] is kept[k] for k in kept) and len(powers) == len(kept)
+
+
+def test_limit_on_a_negative_exponent_is_refused():
+    g = parse_laurent("x")
+    with pytest.raises(ChartError, match="negative exponent of 't'"):
+        g.substitute({"x": parse_laurent("t^-1 + a")}, {"t": 3})
+    assert g.substitute({"x": parse_laurent("t^-1 + a")}) == parse_laurent("t^-1 + a")
+
+
+def test_substitution_errors_are_schema_errors():
+    with pytest.raises(SchemaError, match="unknown variable 'y'"):
+        parse_laurent("x*y").substitute({"x": parse_laurent("t")})
+    with pytest.raises(SchemaError, match="negative exponent on 'x'"):
+        parse_laurent("x^-1").substitute({"x": parse_laurent("t")})

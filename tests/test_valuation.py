@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chain_oracles import LaurentFraction
+from chain_oracles import LaurentFraction, substitute_full
 from stratval.avector import AVector
 from stratval.charts import ChainChart
 from stratval.errors import ChartError
@@ -266,3 +267,147 @@ def test_factors_whose_variables_cancel():
         for recursion in (sequence_of_functions, expanded_sequence):
             with pytest.raises(ChartError, match=r"extra variables \['x'\]"):
                 recursion(h, chart, ps)
+
+
+ALL_SETS = ["elliptic1", "elliptic2", *EXACT_SETS]
+ALL_CHARTS = [
+    pytest.param(name, chain, id=f"{name}-{'>'.join(chain)}")
+    for name in ALL_SETS for chain in sorted(workspace(name).atlas)
+]
+TRUNCATED_ZERO = (
+    r"^order above (\d+) along (\w+) exceeds the chart's faithful range \1;"
+)
+
+
+def chain_valuation_full(g: LaurentPoly, chart: ChainChart, ps) -> tuple:
+    """`chain_valuation` through the untruncated substitution with no kept
+    powers: (value, D, nus, lc), or the ChartError it raises."""
+    try:
+        image = substitute_full(g, chart.ambient_map)
+        if image.is_zero():
+            raise ChartError("function is zero on the chart (lies in the ideal?)")
+        res = sequence_of_functions(image, chart, ps)
+    except ChartError as e:
+        return e
+    return res.value, res.D, res.nus, res.lc
+
+
+@st.composite
+def ambient_polys(draw, names, max_degree):
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        factors = draw(st.lists(st.sampled_from(names), max_size=max_degree))
+        mono: dict[str, int] = {}
+        for v in factors:
+            mono[v] = mono.get(v, 0) + 1
+        coefficient = draw(st.integers(-3, 3).filter(bool))
+        terms[tuple(sorted(mono.items()))] = Fraction(coefficient)
+    return LaurentPoly(terms)
+
+
+@pytest.mark.parametrize("name,chain", ALL_CHARTS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_truncated_images_valuate_as_the_full_images(name, chain, data):
+    ws = workspace(name)
+    chart = ws.atlas[chain]
+    g = data.draw(ambient_polys(sorted(chart.ambient_map), 6))
+    relations = [rel for rel, degree in ws.ring.relations if degree <= 3]
+    if relations and data.draw(st.booleans()):
+        # in the ideal: zero on an exact chart, past the limit on a truncated one
+        g = data.draw(st.sampled_from(relations)) * data.draw(
+            ambient_polys(sorted(chart.ambient_map), 3)
+        )
+    want = chain_valuation_full(g, chart, ws.ps)
+    try:
+        res = chain_valuation(g, chart, ws.ps)
+    except ChartError as e:
+        assert type(e) is type(want)
+        refusal = re.match(TRUNCATED_ZERO, str(e))
+        if refusal is None:
+            assert str(e) == str(want)
+        else:
+            # the full image is zero or has an order past the limit
+            limit, var = int(refusal[1]), refusal[2]
+            order = re.match(rf"order (\d+) along {var} ", str(want))
+            assert str(want).startswith("function is zero") or (
+                order is not None and int(order[1]) > limit
+            )
+        return
+    assert (res.value, res.D, res.nus, res.lc) == want
+
+
+class _CountingDict(dict):
+    def __init__(self):
+        super().__init__()
+        self.sets: dict = {}
+
+    def __setitem__(self, key, value):
+        self.sets[key] = self.sets.get(key, 0) + 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("name", ["elliptic1", "gr24"])
+def test_two_passes_build_each_power_once(name):
+    ws = load_workspace(bundled(name))
+    names = sorted(next(iter(ws.atlas.values())).ambient_map)
+    polys = [
+        LaurentPoly({((v, 4),): Fraction(1), ((w, 2),): Fraction(2)})
+        + LaurentPoly({((v, 3),): Fraction(1)})
+        for v in names for w in names if v != w
+    ]
+    tables = {chain: _CountingDict() for chain in ws.atlas}
+    for chain, chart in ws.atlas.items():
+        chart._powers = tables[chain]
+    for _ in range(2):
+        for g in polys:
+            valuate_all(g, ws.atlas, ws.ps)
+    for table in tables.values():
+        assert {(v, e) for v in names for e in (1, 2, 3, 4)} <= set(table.sets)
+        assert set(table.sets.values()) == {1}
+
+
+def test_elliptic_relation_is_refused_past_the_order_limit():
+    ws = workspace("elliptic1")
+    relation = parse_laurent("y^2*z - x^3 + x*z^2")
+    message = (
+        "order above 35 along u exceeds the chart's faithful range 35; "
+        "truncated data cannot decide it"
+    )
+    with pytest.raises(ChartError) as refused:
+        valuate_all(relation, ws.atlas, ws.ps)
+    assert str(refused.value) == message
+    # x = u*y on the chart, so x^36 has order 36 > 35 along u; the relation
+    # has order 43 in the full image, read from terms past the limit
+    for g in (relation, parse_laurent("x^36")):
+        with pytest.raises(ChartError) as refused:
+            rees_min(g, "X1", ws.atlas, ws.ps)
+        assert str(refused.value) == message
+    assert rees_min(parse_laurent("x^35"), "X1", ws.atlas, ws.ps) == Fraction(35, 3)
+
+
+def test_a_limit_past_the_first_divisor_is_not_applied():
+    # chain 2 > 1 > 0 with divisors t, then s; the chart's data is trusted
+    # up to order 2 along s.  In x -> t + a*s^3 the term a*s^3 sets the order
+    # along t to 0; dropping it for its s-order would make that order 1
+    ps = StratPoset(
+        [("2", "2"), ("1", "1"), ("0", "0")],
+        [("2", "1", 1), ("1", "0", 1)],
+        {"2": 1, "1": 1, "0": 1},
+    )
+    chart = ChainChart(
+        ("2", "1", "0"), ["t", "s"], ["a"],
+        {"2": parse_laurent("t"), "1": parse_laurent("s"), "0": parse_laurent("a")},
+        {"x": parse_laurent("t + a*s^3"), "y": parse_laurent("t + a*s")},
+        order_limits={"s": 2},
+    )
+    chart.check_bonds(ps)
+    x = parse_laurent("x")
+    assert ambient_image(x, chart) == parse_laurent("t + a*s^3")
+    with pytest.raises(ChartError, match="^order 3 along s exceeds"):
+        chain_valuation(x, chart, ps)
+    assert str(chain_valuation_full(x, chart, ps)).startswith("order 3 along s")
+    y = parse_laurent("y")
+    res = chain_valuation(y, chart, ps)
+    assert (res.value, res.D, res.nus, res.lc) == chain_valuation_full(y, chart, ps)
+    assert res.nus == [0, 1, 1]

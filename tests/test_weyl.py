@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chain_oracles import enumerate_ls_by_chains, validate_ls_by_bfs
 from stratval.avector import AVector
-from stratval.errors import BoundError, SchemaError, ValidationFailure
+from stratval.errors import BoundError, SchemaError, StratvalError, ValidationFailure
 from stratval.weyl import (
     LSPath,
     RootSystem,
@@ -175,6 +175,26 @@ def test_weight(a1, a2):
     rs2, g2 = a2
     w0 = g2.w0
     assert weight(LSPath((w0.id,), (Fraction(1),)), g2, (1, 1)) == (-1, -1)
+    assert weight(LSPath((), ()), g2, (1, 1)) == (0, 0)
+    not_integral = r"path weight \[Fraction\(1, 2\)\] is not integral"
+    with pytest.raises(StratvalError, match=not_integral):
+        weight(LSPath(("e",), (Fraction(1, 2),)), g1, (1,))
+
+
+@pytest.mark.parametrize("t,lam,m", [("B2", (1, 1), 3), ("A3", (1, 1, 1), 1)])
+def test_weight_matches_the_rational_sum(t, lam, m):
+    rs = RootSystem.from_type(t)
+    group = weyl_group(rs)
+    images: dict = {}
+    for path in enumerate_ls(rs, lam, m, group=group):
+        total = [Fraction(0)] * len(lam)
+        prev = Fraction(0)
+        for d, c in zip(path.dirs, path.cuts):
+            for i, x in enumerate(group.by_id[d].act(lam)):
+                total[i] += (c - prev) * x
+            prev = c
+        assert weight(path, group, lam, images) == tuple(total)
+    assert set(images) <= {w.id for w in group.elements}
 
 
 def test_validate_ls_rejects_bad_cut(a1):
@@ -265,7 +285,7 @@ def test_schubert_degree(a1, a2):
 def test_schubert_degree_matches_volume_pipeline(a2):
     from math import factorial
 
-    from stratval.geometry import rational_structure, volume
+    from chain_oracles import rational_structure, volume
 
     rs, group = a2
     ps = bonds(rs, (1, 1), group)
@@ -280,7 +300,7 @@ def test_schubert_degree_matches_volume_pipeline(a2):
 def test_per_chain_volume_is_bond_product(a2):
     from math import factorial
 
-    from stratval.geometry import rational_structure, volume
+    from chain_oracles import rational_structure, volume
 
     rs, group = a2
     ps = bonds(rs, (1, 1), group)
