@@ -132,10 +132,10 @@ def default_lattices(ps: StratPoset) -> dict[Chain, LatticeQ]:
 def hodge_degree(ps: StratPoset) -> Fraction:
     """Sum over maximal chains of 1 / (product of the extremal degrees), by
     one pass over the covers."""
-    bad = [e for e, b in ps.bond.items() if b != 1]
-    bad += [(p, "origin") for p in ps.minimal_elements() if ps.fdeg[p] != 1]
+    bad = ps.hodge_violations()
     if bad:
-        raise ValidationFailure(f"not of Hodge type: nontrivial bonds {sorted(bad)}")
+        edges = [e for e, _ in bad]
+        raise ValidationFailure(f"not of Hodge type: nontrivial bonds {edges}")
     h = ps.chain_sums(
         lambda p, q: Fraction(1, ps.fdeg[p]), lambda q: Fraction(1, ps.fdeg[q])
     )

@@ -8,13 +8,12 @@ this package need.
 from __future__ import annotations
 
 
-def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row-style Hermite normal form H of the matrix, with unimodular U so
-    that U @ rows == H.  Zero rows of H sink to the bottom."""
+def hnf_basis(rows: list[list[int]]) -> list[list[int]]:
+    """Nonzero rows of the row-style Hermite normal form: a canonical
+    lattice basis."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     H = [list(r) for r in rows]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
     pivot_row = 0
     for col in range(n):
         # eliminate below pivot_row by gcd steps
@@ -25,15 +24,12 @@ def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[lis
             i0 = min(nonzero, key=lambda i: abs(H[i][col]))
             if i0 != pivot_row:
                 H[pivot_row], H[i0] = H[i0], H[pivot_row]
-                U[pivot_row], U[i0] = U[i0], U[pivot_row]
             done = True
             for i in range(pivot_row + 1, m):
                 if H[i][col]:
                     q = H[i][col] // H[pivot_row][col]
                     for j in range(n):
                         H[i][j] -= q * H[pivot_row][j]
-                    for j in range(m):
-                        U[i][j] -= q * U[pivot_row][j]
                     if H[i][col]:
                         done = False
             if done:
@@ -41,25 +37,28 @@ def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[lis
         if pivot_row < m and H[pivot_row][col] != 0:
             if H[pivot_row][col] < 0:
                 H[pivot_row] = [-x for x in H[pivot_row]]
-                U[pivot_row] = [-x for x in U[pivot_row]]
             piv = H[pivot_row][col]
             for i in range(pivot_row):
                 q = H[i][col] // piv
                 if q:
                     for j in range(n):
                         H[i][j] -= q * H[pivot_row][j]
-                    for j in range(m):
-                        U[i][j] -= q * U[pivot_row][j]
             pivot_row += 1
             if pivot_row == m:
                 break
-    return H, U
+    return H[:pivot_row]
 
 
-def hnf_basis(rows: list[list[int]]) -> list[list[int]]:
-    """Nonzero rows of the Hermite normal form: a canonical lattice basis."""
-    H, _ = hnf_with_transform(rows)
-    return [r for r in H if any(r)]
+def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Row-style Hermite normal form H of the matrix, with unimodular U so
+    that U @ rows == H: the Hermite form of [rows | I], split.  Zero rows of
+    H sink to the bottom."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    HU = hnf_basis(
+        [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    )
+    return [r[:n] for r in HU], [r[n:] for r in HU]
 
 
 def solve_in_rowspace(basis: list[list[int]], v: list[int]) -> list[int] | None:

@@ -13,44 +13,23 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from stratval.avector import AVector, TotalOrder, degree_of
 from stratval.errors import SchemaError, ValidationFailure
-from stratval.intlattice import hnf_basis, integer_kernel, solve_in_rowspace
+from stratval.intlattice import hnf_basis, solve_in_rowspace
 from stratval.poset import Chain, StratPoset
 
 
 class LatticeQ:
-    """Full- or partial-rank lattice in Q^chain: the nonzero rows of the
-    integer Hermite normal form of den * L, one entry per coordinate."""
+    """Full- or partial-rank lattice in Q^chain spanned by the integer rows
+    / den, one entry per coordinate of coords; the rows need not be
+    independent.  Kept as the nonzero rows of their Hermite normal form."""
 
-    def __init__(self, coords: Chain, vectors: list[AVector]):
-        if not vectors:
-            raise SchemaError("a lattice needs at least one generating vector")
+    def __init__(self, coords: Chain, rows: list[list[int]], den: int):
         self.coords = tuple(coords)
-        cset = set(self.coords)
-        for v in vectors:
-            if not v.support() <= cset:
-                raise SchemaError(
-                    f"vector {v} not supported in the coordinate chain {self.coords}"
-                )
-        self.den = lcm(1, *(x.denominator for v in vectors for x in v.entries.values()))
-        self.rows = hnf_basis(
-            [[int(v[p] * self.den) for p in self.coords] for v in vectors]
-        )
-
-    @classmethod
-    def from_scaled_rows(
-        cls, coords: Chain, rows: list[list[int]], den: int
-    ) -> "LatticeQ":
-        """The lattice spanned by the integer rows / den, one entry per
-        coordinate of coords; the rows need not be independent."""
-        lat = cls.__new__(cls)
-        lat.coords = tuple(coords)
-        lat.den = den
-        lat.rows = hnf_basis(rows)
-        return lat
+        self.den = den
+        self.rows = hnf_basis(rows)
 
     @property
     def basis(self) -> list[AVector]:
@@ -80,37 +59,6 @@ class LatticeQ:
         over self.coords."""
         return solve_in_rowspace(self.rows, scaled) is not None
 
-    def kernel_of_degree(self, fdeg: dict[str, int]) -> "LatticeQ":
-        """Sublattice of weighted degree zero, over the least denominator
-        that carries its integer row combinations."""
-        degrees = [
-            [sum(fdeg[p] * x for p, x in zip(self.coords, row) if x)]
-            for row in self.rows
-        ]
-        combos = integer_kernel(degrees)
-        if not combos:
-            raise ValidationFailure("functional kernel is the zero lattice")
-        rows = [
-            [sum(c * x for c, x in zip(combo, col)) for col in zip(*self.rows)]
-            for combo in combos
-        ]
-        g = gcd(self.den, *(x for row in rows for x in row))
-        return LatticeQ.from_scaled_rows(
-            self.coords, [[x // g for x in row] for row in rows], self.den // g
-        )
-
-    def coords_in_basis(self, v: AVector) -> list[Fraction] | None:
-        """Exact coordinates of v in self.basis, if v lies in the Q-span:
-        elimination down the echelon rows."""
-        res = [v[p] * self.den for p in self.coords]
-        coeffs = []
-        for row in self.rows:
-            lead = next(j for j, x in enumerate(row) if x)
-            c = res[lead] / row[lead]
-            coeffs.append(c)
-            res = [a - c * x for a, x in zip(res, row)]
-        return None if any(res) else coeffs
-
     def to_json(self) -> dict:
         return {
             "coords": list(self.coords),
@@ -137,17 +85,25 @@ def lattice_LC(ps: StratPoset, chain: Chain) -> LatticeQ:
         [den // r if i == j else 0 for j in range(len(chain))]
         for i, r in enumerate(running)
     ]
-    return LatticeQ.from_scaled_rows(chain, rows, den)
+    return LatticeQ(chain, rows, den)
 
 
 def lattice_generated(vectors: list[AVector], chain: Chain | None = None) -> LatticeQ:
-    """Z-span of valuation values supported in one chain."""
+    """Z-span of valuation values supported in one chain, over the least
+    common denominator of their entries."""
     if not vectors:
         raise SchemaError("lattice_generated needs at least one vector")
     if chain is None:
-        support = sorted({p for v in vectors for p in v.support()})
-        chain = tuple(support)
-    return LatticeQ(chain, vectors)
+        chain = sorted({p for v in vectors for p in v.support()})
+    chain = tuple(chain)
+    cset = set(chain)
+    for v in vectors:
+        if not v.support() <= cset:
+            raise SchemaError(
+                f"vector {v} not supported in the coordinate chain {chain}"
+            )
+    den = lcm(1, *(x.denominator for v in vectors for x in v.entries.values()))
+    return LatticeQ(chain, [[int(v[p] * den) for p in chain] for v in vectors], den)
 
 
 # a chain monoid's elements up to a degree bound, and its indecomposables
@@ -218,12 +174,9 @@ class Core:
 
 def hodge_fan(ps: StratPoset) -> MonoidFan:
     """For all-bonds-one stratifications each chain monoid is N^chain."""
-    bad = [(e, b) for e, b in ps.bond.items() if b != 1]
-    for p in ps.minimal_elements():
-        if ps.fdeg[p] != 1:
-            bad.append(((p, "origin"), ps.fdeg[p]))
+    bad = ps.hodge_violations()
     if bad:
-        raise ValidationFailure(f"not of Hodge type: bonds {sorted(bad)} differ from 1")
+        raise ValidationFailure(f"not of Hodge type: bonds {bad} differ from 1")
     return MonoidFan(
         ps, {c: [AVector.unit(p) for p in c] for c in ps.maximal_chains()}
     )

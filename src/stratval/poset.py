@@ -197,6 +197,18 @@ class StratPoset:
         bonds.append(self.fdeg[chain[-1]])
         return bonds
 
+    def hodge_violations(self) -> list[tuple[tuple[str, str], int]]:
+        """What keeps the poset from Hodge type, sorted: each cover with its
+        bond other than one, and each minimal element p whose degree is not
+        one as ((p, "origin"), degree)."""
+        bad = [(e, b) for e, b in self.bond.items() if b != 1]
+        bad += [
+            ((p, "origin"), self.fdeg[p])
+            for p in self.minimal_elements()
+            if self.fdeg[p] != 1
+        ]
+        return sorted(bad)
+
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:

@@ -14,11 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from stratval.avector import AVector, Ordering, TotalOrder, lex_compare
+from stratval.avector import AVector, Ordering, TotalOrder, degree_of, lex_compare
 from stratval.charts import Atlas
 from stratval.errors import SchemaError, StratvalError
 from stratval.laurent import LaurentPoly, parse_laurent
-from stratval.monoids import MonoidFan, decompose, indecomposables
+from stratval.monoids import (
+    MonoidFan,
+    decompose,
+    gamma_degree_slice,
+    indecomposables,
+    monoid_membership,
+)
 from stratval.poset import StratPoset
 from stratval.ringmodel import GradedQuotient
 from stratval.valuation import (
@@ -40,8 +46,6 @@ class StdMonomial:
         return total
 
     def degree(self, fdeg: dict[str, int]) -> Fraction:
-        from stratval.avector import degree_of
-
         return degree_of(self.value(), fdeg)
 
     def key(self) -> tuple:
@@ -122,7 +126,7 @@ def standard_monomials(ps: StratPoset, fan: MonoidFan, m: int) -> list[StdMonomi
             out.append(StdMonomial(list(seq)))
             return
         for g in indec:
-            d = _degree(g, fdeg)
+            d = degree_of(g, fdeg)
             if d > remaining:
                 continue
             if seq:
@@ -136,12 +140,6 @@ def standard_monomials(ps: StratPoset, fan: MonoidFan, m: int) -> list[StdMonomi
 
     extend([], Fraction(m))
     return out
-
-
-def _degree(v: AVector, fdeg: dict[str, int]) -> Fraction:
-    from stratval.avector import degree_of
-
-    return degree_of(v, fdeg)
 
 
 class Representatives:
@@ -294,8 +292,6 @@ def khovanskii_check(
 ) -> KhovanskiiReport:
     """Do the values of the given ring elements generate every degree slice of
     the fan up to the bound?"""
-    from stratval.monoids import gamma_degree_slice, monoid_membership
-
     values = [quasi_valuation(g, atlas, ps, order) for g in basis_elements]
     missing: list[AVector] = []
     degrees = list(range(1, max_degree + 1))

@@ -330,7 +330,7 @@ def lattice_LC_lambda(poset: StratPoset, chain: Chain) -> LatticeQ:
     for k, b in enumerate(bonds_list):
         rows[k][k], rows[k][k + 1] = den // b, -(den // b)
     rows[-1][-1] = den
-    return LatticeQ.from_scaled_rows(chain, rows, den)
+    return LatticeQ(chain, rows, den)
 
 
 def ls_lattice_points(
@@ -404,18 +404,6 @@ def nu(path: LSPath) -> AVector:
         entries[d] = c - prev
         prev = c
     return AVector(entries)
-
-
-def path_from_vector(u: AVector, poset: StratPoset) -> LSPath:
-    if u.is_zero():
-        return EMPTY_PATH
-    supp = sorted(u.support(), key=lambda p: -poset.length(p))
-    cuts = []
-    acc = Fraction(0)
-    for p in supp:
-        acc += u[p]
-        cuts.append(acc)
-    return LSPath(tuple(supp), tuple(cuts))
 
 
 def weight(path: LSPath, group: WeylGroup, lam: Weight,

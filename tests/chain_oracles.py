@@ -1,26 +1,31 @@
-"""Direct reference implementations the library's faster forms replaced.
+"""Direct reference implementations the library's faster forms replaced,
+and code only the tests call.
 
 The library computes Hilbert functions as one sum over the faces of the
-order complex, chain-sum degrees as one pass over the covers, and ordered
-decompositions from chain-monoid slices kept on the fan.  These are the
-direct forms, kept as oracles for small inputs: the inclusion-exclusion over
-every nonempty set of maximal chains, the degree sums over an explicit list
-of maximal chains, a decomposition that enumerates its slice on every call,
-a chain simplex's rational structure and volume by a determinant, Ehrhart
-counting over the bounding box of that projected simplex, a lattice's
-rational basis with the degree-zero sublattice and coordinates computed
-through it over Q, chart substitution with every power expanded in full,
-formal fractions of Laurent polynomials for the expanded valuation
+order complex, chain-sum degrees as one pass over the covers, ordered
+decompositions from chain-monoid slices kept on the fan, chain volumes off
+the Hermite form of each lattice, and the transform of a Hermite form by
+eliminating [rows | I].  These are the direct forms, kept as oracles for
+small inputs: the inclusion-exclusion over every nonempty set of maximal
+chains, the degree sums over an explicit list of maximal chains, a
+decomposition that enumerates its slice on every call, a chain simplex's
+rational structure and volume by a determinant, with its degree-zero
+sublattice and echelon coordinates read from the lattice's integer rows,
+Ehrhart counting over the bounding box of that projected simplex, a
+lattice's rational basis with the degree-zero sublattice and coordinates
+computed through it over Q, the Hermite form by row operations that update
+the transform alongside, chart substitution with every power expanded in
+full, formal fractions of Laurent polynomials for the expanded valuation
 recursion, LS paths as the union of the cut-lattice points over every
-maximal chain, and the LS integrality predicate checked on one maximal chain
-of each Bruhat interval found by BFS.
+maximal chain, read back as paths, and the LS integrality predicate checked
+on one maximal chain of each Bruhat interval found by BFS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from stratval.avector import AVector, degree_of
 from stratval.errors import BoundError, ChartError, SchemaError, ValidationFailure
@@ -33,16 +38,17 @@ from stratval.monoids import (
     _monoid_elements_up_to,
     _supp_positions,
     _unsplit,
+    lattice_generated,
 )
 from stratval.poset import Chain, StratPoset
 from stratval.weyl import (
+    EMPTY_PATH,
     LSPath,
     RootSystem,
     Weight,
     WeylGroup,
     bonds,
     ls_lattice_points,
-    path_from_vector,
     weyl_group,
 )
 
@@ -158,6 +164,37 @@ class RationalStructure:
     points: list[list[Fraction]]         # simplex vertices in Z^r coordinates
 
 
+def kernel_of_degree_by_rows(lat: LatticeQ, fdeg: dict[str, int]) -> LatticeQ:
+    """Sublattice of weighted degree zero from integer row combinations,
+    over the least denominator that carries them."""
+    degrees = [
+        [sum(fdeg[p] * x for p, x in zip(lat.coords, row) if x)]
+        for row in lat.rows
+    ]
+    combos = integer_kernel(degrees)
+    if not combos:
+        raise ValidationFailure("functional kernel is the zero lattice")
+    rows = [
+        [sum(c * x for c, x in zip(combo, col)) for col in zip(*lat.rows)]
+        for combo in combos
+    ]
+    g = gcd(lat.den, *(x for row in rows for x in row))
+    return LatticeQ(lat.coords, [[x // g for x in row] for row in rows], lat.den // g)
+
+
+def coords_by_echelon(lat: LatticeQ, v: AVector) -> list[Fraction] | None:
+    """Exact coordinates of v in the lattice's basis, if v lies in the
+    Q-span: elimination down the echelon rows."""
+    res = [v[p] * lat.den for p in lat.coords]
+    coeffs = []
+    for row in lat.rows:
+        lead = next(j for j, x in enumerate(row) if x)
+        c = res[lead] / row[lead]
+        coeffs.append(c)
+        res = [a - c * x for a, x in zip(res, row)]
+    return None if any(res) else coeffs
+
+
 def rational_structure(
     ps: StratPoset, chain: Chain, lattice: LatticeQ
 ) -> RationalStructure:
@@ -165,14 +202,14 @@ def rational_structure(
     ell1 = _bottom_vertex(ps, chain, lattice)
     if len(chain) == 1:
         return RationalStructure(chain, lattice, None, [[]])
-    sub = lattice.kernel_of_degree(ps.fdeg)
+    sub = kernel_of_degree_by_rows(lattice, ps.fdeg)
     r = len(chain) - 1
     if sub.rank != r:
         raise _rank_mismatch(sub.rank, r)
     points = []
     for p in chain:
         w = AVector.unit(p, Fraction(1, ps.fdeg[p])) - ell1
-        coords = sub.coords_in_basis(w)
+        coords = coords_by_echelon(sub, w)
         if coords is None:
             raise ValidationFailure(f"vertex of {p} is not in the projected span")
         points.append(coords)
@@ -276,6 +313,56 @@ def _affine_coords(point: list[int], inv: list[list[Fraction]]) -> list[Fraction
     return [sum(vec[i] * inv[i][j] for i in range(n)) for j in range(n)]
 
 
+def hnf_tracking_transform(
+    rows: list[list[int]],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Row-style Hermite form H with unimodular U, U @ rows == H, by gcd row
+    operations applied to H and U alike; zero rows of H sink to the
+    bottom."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    H = [list(r) for r in rows]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    pivot_row = 0
+    for col in range(n):
+        while True:
+            nonzero = [i for i in range(pivot_row, m) if H[i][col] != 0]
+            if not nonzero:
+                break
+            i0 = min(nonzero, key=lambda i: abs(H[i][col]))
+            if i0 != pivot_row:
+                H[pivot_row], H[i0] = H[i0], H[pivot_row]
+                U[pivot_row], U[i0] = U[i0], U[pivot_row]
+            done = True
+            for i in range(pivot_row + 1, m):
+                if H[i][col]:
+                    q = H[i][col] // H[pivot_row][col]
+                    for j in range(n):
+                        H[i][j] -= q * H[pivot_row][j]
+                    for j in range(m):
+                        U[i][j] -= q * U[pivot_row][j]
+                    if H[i][col]:
+                        done = False
+            if done:
+                break
+        if pivot_row < m and H[pivot_row][col] != 0:
+            if H[pivot_row][col] < 0:
+                H[pivot_row] = [-x for x in H[pivot_row]]
+                U[pivot_row] = [-x for x in U[pivot_row]]
+            piv = H[pivot_row][col]
+            for i in range(pivot_row):
+                q = H[i][col] // piv
+                if q:
+                    for j in range(n):
+                        H[i][j] -= q * H[pivot_row][j]
+                    for j in range(m):
+                        U[i][j] -= q * U[pivot_row][j]
+            pivot_row += 1
+            if pivot_row == m:
+                break
+    return H, U
+
+
 def eager_basis(lat: LatticeQ) -> list[AVector]:
     """The lattice's rows / den as vectors of Fractions, one per row."""
     return [
@@ -297,7 +384,7 @@ def kernel_of_functional(lat: LatticeQ, values: list[Fraction]) -> LatticeQ:
         vecs.append(acc)
     if not vecs:
         raise ValidationFailure("functional kernel is the zero lattice")
-    return LatticeQ(lat.coords, vecs)
+    return lattice_generated(vecs, lat.coords)
 
 
 def kernel_of_degree(lat: LatticeQ, fdeg: dict[str, int]) -> LatticeQ:
@@ -435,6 +522,20 @@ def enumerate_ls_by_chains(
     for chain in poset.maximal_chains():
         vectors.update(ls_lattice_points(poset, chain, m))
     return [path_from_vector(u, poset) for u in sorted(vectors, key=AVector.key)]
+
+
+def path_from_vector(u: AVector, poset: StratPoset) -> LSPath:
+    """The LS path whose lattice image is u: directions by decreasing
+    length, cuts the partial sums of their weights."""
+    if u.is_zero():
+        return EMPTY_PATH
+    supp = sorted(u.support(), key=lambda p: -poset.length(p))
+    cuts = []
+    acc = Fraction(0)
+    for p in supp:
+        acc += u[p]
+        cuts.append(acc)
+    return LSPath(tuple(supp), tuple(cuts))
 
 
 def _interval_chain(group: WeylGroup, lower: str, upper: str):

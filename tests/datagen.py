@@ -2,8 +2,11 @@
 
 Everything derived (adjoint-orbit charts, curve parametrizations, ring
 relations) is computed here with exact arithmetic rather than typed in by
-hand; the JSON files under data/ are the frozen output of write_all, and the
-test suite re-runs these builders against the shipped files.
+hand; the JSON files under src/stratval/data/ are the frozen output of
+write_all, and the test suite re-runs these builders against the shipped
+files.  Regenerate them with
+
+    PYTHONPATH=src python tests/datagen.py
 """
 
 from __future__ import annotations

@@ -142,7 +142,7 @@ def test_criterion_5_elliptic_curve(capsys):
 
 
 def test_criterion_6_sl3b(capsys):
-    from stratval.datagen import sl3b_poset
+    from datagen import sl3b_poset
     from stratval.weyl import RootSystem, bonds, schubert_degree, weyl_group
 
     rs = RootSystem.from_type("A2")

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from stratval import datagen
+import datagen
 from stratval.laurent import parse_laurent
 from stratval.poset import StratPoset
 from stratval.workspace import bundled, load_workspace

@@ -211,19 +211,12 @@ def test_chain_volume_keeps_the_refusal_messages(gr24):
 
 
 @pytest.mark.parametrize("lam", [(1, 1, 1), (2, 1, 1), (1, 1, 2)])
-def test_degree_reads_volumes_off_the_hermite_form(lam, monkeypatch):
-    """A3 with its cut lattices gives the Schubert degree without a
-    degree-zero sublattice or a rational solve."""
+def test_degree_reads_volumes_off_the_hermite_form(lam):
+    """A3 with its cut lattices gives the Schubert degree."""
     rs = RootSystem.from_type("A3")
     w = weyl_group(rs)
     ps = bonds(rs, lam, w)
     lattices = {c: lattice_LC_lambda(ps, c) for c in ps.maximal_chains()}
-
-    def refuse(*args):
-        raise AssertionError("chain volumes need no rational structure")
-
-    monkeypatch.setattr(LatticeQ, "coords_in_basis", refuse)
-    monkeypatch.setattr(LatticeQ, "kernel_of_degree", refuse)
     assert degree(ps, lattices) == schubert_degree(rs, lam, w.w0.id)
 
 
@@ -247,13 +240,34 @@ def test_lattices_build_without_vectors(gr24, monkeypatch):
     assert degree(a3, a3_lattices) == 720
 
 
+def test_library_lattices_pass_through_the_constructor(gr24, monkeypatch):
+    """Every bond and cut lattice is built by LatticeQ.__init__, once per
+    maximal chain."""
+    rs = RootSystem.from_type("A3")
+    a3 = bonds(rs, (2, 1, 1), weyl_group(rs))
+    calls = []
+    init = LatticeQ.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LatticeQ, "__init__", counting)
+    default_lattices(gr24)
+    assert len(calls) == len(gr24.maximal_chains())
+    calls.clear()
+    for c in a3.maximal_chains():
+        lattice_LC_lambda(a3, c)
+    assert len(calls) == len(a3.maximal_chains())
+
+
 def test_degree_gr24(gr24):
     assert degree(gr24, default_lattices(gr24)) == 2
     assert hodge_degree(gr24) == 2
 
 
 def test_degree_pset():
-    from stratval.datagen import pset_poset
+    from datagen import pset_poset
 
     ps = pset_poset()
     assert hodge_degree(ps) == 1
@@ -268,14 +282,14 @@ def test_degree_generic_model():
 
 
 def test_degree_quadric():
-    from stratval.datagen import quadric_poset
+    from datagen import quadric_poset
 
     ps = quadric_poset()
     assert degree(ps, default_lattices(ps)) == 2
 
 
 def test_degree_elliptic_both():
-    from stratval.datagen import elliptic1_poset, elliptic2_poset
+    from datagen import elliptic1_poset, elliptic2_poset
 
     e1 = elliptic1_poset()
     assert degree(e1, default_lattices(e1)) == 3
@@ -289,7 +303,7 @@ def test_degree_elliptic_both():
 
 
 def test_hodge_degree_rejects_bonded():
-    from stratval.datagen import sl3b_poset
+    from datagen import sl3b_poset
 
     with pytest.raises(ValidationFailure):
         hodge_degree(sl3b_poset())
@@ -379,7 +393,7 @@ def test_sr_hilbert_cases(gr24):
 
 
 def test_sr_hilbert_pset():
-    from stratval.datagen import pset_poset
+    from datagen import pset_poset
 
     ps = pset_poset()
     # weighted Stanley-Reisner count agrees with the polynomial ring in 3 vars
@@ -390,7 +404,7 @@ def test_sr_hilbert_pset():
 def test_hodge_hilbert_equality_weighted():
     """Inclusion-exclusion equals the bond-free degeneration count on every
     Hodge-type data set, including weighted extremal degrees."""
-    from stratval.datagen import pset_poset, psl2_poset, quadric_poset
+    from datagen import pset_poset, psl2_poset, quadric_poset
 
     for ps in [pset_poset(), quadric_poset(), psl2_poset()]:
         lattices = default_lattices(ps)
@@ -399,7 +413,7 @@ def test_hodge_hilbert_equality_weighted():
 
 
 def test_psl2_hilbert_is_projective_space():
-    from stratval.datagen import psl2_poset
+    from datagen import psl2_poset
 
     ps = psl2_poset()
     lattices = default_lattices(ps)

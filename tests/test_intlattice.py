@@ -1,6 +1,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chain_oracles import _det, hnf_tracking_transform
 from stratval.intlattice import (
     hnf_basis,
     hnf_with_transform,
@@ -22,10 +23,27 @@ def test_hnf_transform_is_exact(rows):
     for i in range(m):
         for j in range(n):
             assert H[i][j] == sum(U[i][k] * rows[k][j] for k in range(m))
-    # unimodular: determinant is +-1, checked through integer inversion of
-    # the permutation-free elimination is overkill; row count preserved is
-    # enough here combined with exactness and the span tests below.
+    # unimodularity is checked in test_hnf_matches_the_tracking_elimination
     assert len(H) == m
+
+
+@st.composite
+def wide_matrices(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=m, max_size=m))
+
+
+@given(wide_matrices())
+def test_hnf_matches_the_tracking_elimination(rows):
+    """The basis is the nonzero part of the Hermite form that row operations
+    on H and U reach, H from [rows | I] is that form in full, and U has
+    determinant +-1."""
+    H_oracle, _ = hnf_tracking_transform(rows)
+    H, U = hnf_with_transform(rows)
+    assert hnf_basis(rows) == [r for r in H_oracle if any(r)]
+    assert H == H_oracle
+    assert abs(_det(U)) == 1
 
 
 @given(matrices)

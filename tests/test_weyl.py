@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chain_oracles import enumerate_ls_by_chains, validate_ls_by_bfs
+from chain_oracles import enumerate_ls_by_chains, path_from_vector, validate_ls_by_bfs
 from stratval.avector import AVector
 from stratval.errors import BoundError, SchemaError, StratvalError, ValidationFailure
 from stratval.weyl import (
@@ -21,7 +21,6 @@ from stratval.weyl import (
     lattice_LC_lambda,
     ls_lattice_points,
     nu,
-    path_from_vector,
     schubert_degree,
     validate_ls,
     weight,
@@ -101,7 +100,7 @@ def test_bonds_reject_non_regular(a2):
 
 
 def test_bonds_match_shipped_sl3b(a2):
-    from stratval.datagen import sl3b_poset
+    from datagen import sl3b_poset
 
     rs, group = a2
     computed = bonds(rs, (1, 1), group)
