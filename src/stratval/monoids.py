@@ -165,8 +165,9 @@ class Core:
             if any(x < 0 for x in g.entries.values()):
                 raise SchemaError(f"core generator {g} has a negative entry")
         fdeg = {p: 1 for p in self.chain}
+        degree_one = _monoid_elements_up_to(self.generators, fdeg, Fraction(1))
         for p in self.chain:
-            if not monoid_membership(AVector.unit(p), self.generators, fdeg):
+            if AVector.unit(p) not in degree_one:
                 raise SchemaError(
                     f"core is not closed under adding e[{p}]: unit not generated"
                 )
@@ -203,30 +204,6 @@ def _monoid_elements_up_to(
     return seen
 
 
-def monoid_membership(
-    target: AVector, gens: list[AVector], fdeg: dict[str, int]
-) -> bool:
-    """Bounded nonnegative-integer search, exact and terminating: generator
-    degrees are positive so the target's degree bounds the search depth."""
-    fail: set[tuple] = set()
-
-    def search(v: AVector) -> bool:
-        if v.is_zero():
-            return True
-        key = v.key()
-        if key in fail:
-            return False
-        for g in gens:
-            w = v - g
-            if all(x >= 0 for x in w.entries.values()) and degree_of(w, fdeg) >= 0:
-                if search(w):
-                    return True
-        fail.add(key)
-        return False
-
-    return search(target)
-
-
 @dataclass
 class SaturationReport:
     chain: Chain
@@ -256,16 +233,16 @@ def is_saturated(
 ) -> SaturationReport:
     """Bounded certificate: every lattice point of the cone with degree <= bound
     lies in the generated monoid.  Honest about the bound; not a proof beyond it."""
-    gens = fan.generators[chain]
     fdeg = fan.ps.fdeg
-    lat = lattice_generated(gens, chain)
+    lat = lattice_generated(fan.generators[chain], chain)
+    elements = _slice(fan, chain, Fraction(bound))[0]
     den = lat.den
     for total in range(1, bound * den + 1):
         for scaled in weighted_compositions([fdeg[p] for p in chain], total):
             if not lat.contains_scaled(scaled):
                 continue
             v = AVector({p: Fraction(w, den) for p, w in zip(chain, scaled)})
-            if not monoid_membership(v, gens, fdeg):
+            if v not in elements:
                 return SaturationReport(chain, False, bound, v)
     return SaturationReport(chain, True, bound, None)
 
@@ -302,25 +279,23 @@ def _slice(fan: MonoidFan, chain: Chain, bound: Fraction) -> _Slice:
 
 def _unsplit(elements: set[AVector], chain: Chain) -> list[AVector]:
     """The nonzero elements of a degree-bounded slice of a chain monoid that
-    are no ordered sum of two nonzero elements of the slice."""
-    nonzero = sorted((v for v in elements if not v.is_zero()), key=AVector.key)
-    out = []
-    for a in nonzero:
-        split = False
-        for a1 in nonzero:
-            a2 = a - a1
-            if a2.is_zero() or any(x < 0 for x in a2.entries.values()):
-                continue
-            if a2 not in elements:
-                continue
-            _, min1 = _supp_positions(a1, chain)
-            top2, _ = _supp_positions(a2, chain)
-            if min1 <= top2:
-                split = True
-                break
-        if not split:
-            out.append(a)
-    return out
+    are no ordered sum of two nonzero elements of the slice, in key order.
+
+    A sieve by entry sum.  An ordered split a = a1 + a2 can always take an
+    indecomposable a1: if a1 = b + c splits in order, so does
+    a = b + (c + a2), since the slice is closed under monoid summands.  Such
+    an a1 has a smaller entry sum than a, so each element is tested only
+    against the indecomposables found before it.
+    """
+    found: list[tuple[AVector, int]] = []   # with the position of min supp
+    nonzero = (v for v in elements if not v.is_zero())
+    for a in sorted(nonzero, key=lambda v: (sum(v.entries.values()), v.key())):
+        if not any(
+            (rem := a - g) in elements and bottom <= _supp_positions(rem, chain)[0]
+            for g, bottom in found
+        ):
+            found.append((a, _supp_positions(a, chain)[1]))
+    return sorted((g for g, _ in found), key=AVector.key)
 
 
 def decompose(a: AVector, fan: MonoidFan, chain: Chain) -> list[AVector]:
@@ -370,8 +345,7 @@ def fan_mult(a: AVector, b: AVector, ps: StratPoset) -> AVector | None:
         return b
     if b.is_zero():
         return a
-    union = a.support() | b.support()
-    if ps.chains_through(union):
+    if ps.is_chain(a.support() | b.support()):
         return a + b
     return None
 

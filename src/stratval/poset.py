@@ -9,6 +9,7 @@ has the same length r.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
@@ -168,6 +169,15 @@ class StratPoset:
             if p not in self.covers_of:
                 raise SchemaError(f"unknown id {p!r}")
         return [c for c in self.maximal_chains() if want <= set(c)]
+
+    def is_chain(self, ids: Iterable[str]) -> bool:
+        """Whether every two of the ids are comparable, that is, whether they
+        lie on a common maximal chain."""
+        downs = {p: self.below(p) for p in sorted(set(ids))}
+        return all(
+            a in downs[b] or b in downs[a]
+            for a, b in itertools.combinations(downs, 2)
+        )
 
     def order_complex(self) -> list[Chain]:
         """All nonempty chains (faces of the order complex), top-down."""

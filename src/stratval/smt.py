@@ -20,10 +20,10 @@ from stratval.errors import SchemaError, StratvalError
 from stratval.laurent import LaurentPoly, parse_laurent
 from stratval.monoids import (
     MonoidFan,
+    _monoid_elements_up_to,
     decompose,
     gamma_degree_slice,
     indecomposables,
-    monoid_membership,
 )
 from stratval.poset import StratPoset
 from stratval.ringmodel import GradedQuotient
@@ -79,10 +79,8 @@ def _supp_extremes(v: AVector, ps: StratPoset) -> tuple[str, str]:
     supp = sorted(v.support())
     if not supp:
         raise SchemaError("zero vector has no support extremes")
-    for a in supp:
-        for b in supp:
-            if not (ps.leq(a, b) or ps.leq(b, a)):
-                raise SchemaError(f"support of {v} is not a chain")
+    if not ps.is_chain(supp):
+        raise SchemaError(f"support of {v} is not a chain")
     top = max(supp, key=ps.length)
     bot = min(supp, key=ps.length)
     return top, bot
@@ -293,16 +291,20 @@ def khovanskii_check(
     """Do the values of the given ring elements generate every degree slice of
     the fan up to the bound?"""
     values = [quasi_valuation(g, atlas, ps, order) for g in basis_elements]
+    values = [v for v in values if not v.is_zero()]   # constants generate nothing
+    generated = {
+        chain: _monoid_elements_up_to(
+            [v for v in values if v.support() <= set(chain)],
+            ps.fdeg,
+            Fraction(max_degree),
+        )
+        for chain in ps.maximal_chains()
+    }
     missing: list[AVector] = []
     degrees = list(range(1, max_degree + 1))
     for m in degrees:
         for target in gamma_degree_slice(fan, m):
-            reachable = False
-            for chain in ps.chains_through(target.support()):
-                gens = [v for v in values if v.support() <= set(chain)]
-                if gens and monoid_membership(target, gens, ps.fdeg):
-                    reachable = True
-                    break
-            if not reachable:
+            chains = ps.chains_through(target.support())
+            if not any(target in generated[c] for c in chains):
                 missing.append(target)
     return KhovanskiiReport(not missing, degrees, missing)

@@ -3,12 +3,15 @@ and code only the tests call.
 
 The library computes Hilbert functions as one sum over the faces of the
 order complex, chain-sum degrees as one pass over the covers, ordered
-decompositions from chain-monoid slices kept on the fan, chain volumes off
-the Hermite form of each lattice, and the transform of a Hermite form by
-eliminating [rows | I].  These are the direct forms, kept as oracles for
-small inputs: the inclusion-exclusion over every nonempty set of maximal
-chains, the degree sums over an explicit list of maximal chains, a
-decomposition that enumerates its slice on every call, a chain simplex's
+decompositions from chain-monoid slices kept on the fan, monoid membership
+by lookup in an enumerated slice, indecomposables by a sieve over those
+already found, chain volumes off the Hermite form of each lattice, and the
+transform of a Hermite form by eliminating [rows | I].  These are the
+direct forms, kept as oracles for small inputs: the inclusion-exclusion
+over every nonempty set of maximal chains, the degree sums over an explicit
+list of maximal chains, a decomposition that enumerates its slice on every
+call, membership by a depth-first search over generator subtractions,
+indecomposables by testing every ordered pair of a slice, a chain simplex's
 rational structure and volume by a determinant, with its degree-zero
 sublattice and echelon coordinates read from the lattice's integer rows,
 Ehrhart counting over the bounding box of that projected simplex, a
@@ -37,7 +40,6 @@ from stratval.monoids import (
     MonoidFan,
     _monoid_elements_up_to,
     _supp_positions,
-    _unsplit,
     lattice_generated,
 )
 from stratval.poset import Chain, StratPoset
@@ -128,7 +130,9 @@ def decompose_uncached(a: AVector, fan: MonoidFan, chain: Chain) -> list[AVector
     elements = _monoid_elements_up_to(gens, fdeg, total)
     if a not in elements:
         raise SchemaError(f"{a} is not an element of the chain monoid")
-    indec = _unsplit({v for v in elements if degree_of(v, fdeg) <= int(total)}, chain)
+    indec = unsplit_by_pairs(
+        {v for v in elements if degree_of(v, fdeg) <= int(total)}, chain
+    )
 
     def split(v: AVector, cap: int | None) -> list[AVector] | None:
         if v.is_zero():
@@ -154,6 +158,54 @@ def decompose_uncached(a: AVector, fan: MonoidFan, chain: Chain) -> list[AVector
     if result is None:
         raise SchemaError(f"{a} admits no ordered decomposition (incomplete fan?)")
     return result
+
+
+def monoid_membership(
+    target: AVector, gens: list[AVector], fdeg: dict[str, int]
+) -> bool:
+    """Membership in the monoid the generators span, by subtracting
+    generators depth first; exact and terminating when every generator has
+    positive degree, since the target's degree bounds the search depth."""
+    fail: set[tuple] = set()
+
+    def search(v: AVector) -> bool:
+        if v.is_zero():
+            return True
+        key = v.key()
+        if key in fail:
+            return False
+        for g in gens:
+            w = v - g
+            if all(x >= 0 for x in w.entries.values()) and degree_of(w, fdeg) >= 0:
+                if search(w):
+                    return True
+        fail.add(key)
+        return False
+
+    return search(target)
+
+
+def unsplit_by_pairs(elements: set[AVector], chain: Chain) -> list[AVector]:
+    """`monoids._unsplit` testing every ordered pair of the slice's nonzero
+    elements."""
+    nonzero = sorted((v for v in elements if not v.is_zero()), key=AVector.key)
+    out = []
+    for a in nonzero:
+        split = False
+        for a1 in nonzero:
+            a2 = a - a1
+            if a2.is_zero() or any(x < 0 for x in a2.entries.values()):
+                continue
+            if a2 not in elements:
+                continue
+            _, min1 = _supp_positions(a1, chain)
+            top2, _ = _supp_positions(a2, chain)
+            if min1 <= top2:
+                split = True
+                break
+        if not split:
+            out.append(a)
+    return out
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from functools import cache
 
@@ -10,12 +11,16 @@ from chain_oracles import (
     coords_by_echelon,
     decompose_uncached,
     kernel_of_degree_by_rows,
+    monoid_membership,
+    unsplit_by_pairs,
 )
 from stratval.avector import AVector, degree_of
 from stratval.errors import SchemaError, ValidationFailure
 from stratval.monoids import (
     LatticeQ,
     MonoidFan,
+    _monoid_elements_up_to,
+    _unsplit,
     decompose,
     fan_mult,
     gamma_degree_slice,
@@ -24,10 +29,16 @@ from stratval.monoids import (
     is_saturated,
     lattice_LC,
     lattice_generated,
-    monoid_membership,
 )
 from stratval.poset import StratPoset
+from stratval.weyl import RootSystem, bonds
 from stratval.workspace import bundled, load_workspace
+
+
+BUNDLED = [
+    "elliptic1", "elliptic2", "gr24", "psl2", "pset_p2", "quadric", "sl3b",
+    "torus_t2",
+]
 
 
 def elliptic_poset():
@@ -178,11 +189,61 @@ def test_gr24_valuation_images_generate_unit_lattice(gr24, gr24_atlas):
     assert not lat.membership(AVector.unit("34", Fraction(1, 2)))
 
 
+def in_slice(target, gens, fdeg):
+    """Membership as the library decides it: a lookup in the slice of the
+    monoid up to the target's degree."""
+    return target in _monoid_elements_up_to(gens, fdeg, degree_of(target, fdeg))
+
+
 def test_monoid_membership():
     fdeg = {"a": 1}
     two, three = AVector.unit("a", 2), AVector.unit("a", 3)
-    assert monoid_membership(AVector.unit("a", 7), [two, three], fdeg)
-    assert not monoid_membership(AVector.unit("a", 1), [two, three], fdeg)
+    for member in (monoid_membership, in_slice):
+        assert member(AVector.unit("a", 7), [two, three], fdeg)
+        assert not member(AVector.unit("a", 1), [two, three], fdeg)
+
+
+ENTRIES = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+
+
+def _entry_rows(chain):
+    return st.lists(st.sampled_from(ENTRIES), min_size=len(chain), max_size=len(chain))
+
+
+@st.composite
+def chain_monoids(draw):
+    """A chain of length <= 4 with positive coordinate degrees and 1-3
+    nonzero generators with nonnegative, partly fractional entries."""
+    chain = tuple(f"p{i}" for i in range(draw(st.integers(1, 4))))
+    fdeg = {p: draw(st.integers(1, 3)) for p in chain}
+    rows = draw(st.lists(_entry_rows(chain).filter(any), min_size=1, max_size=3))
+    gens = [AVector(dict(zip(chain, row))) for row in rows]
+    return chain, fdeg, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_monoids())
+def test_sieve_matches_the_pair_scan(case):
+    chain, fdeg, gens = case
+    for bound in range(1, 5):
+        elements = _monoid_elements_up_to(gens, fdeg, Fraction(bound))
+        if len(elements) > 150:   # the pair scan is quadratic
+            break
+        assert _unsplit(elements, chain) == unsplit_by_pairs(elements, chain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_monoids(), st.data())
+def test_slice_lookup_matches_the_depth_first_search(case, data):
+    chain, fdeg, gens = case
+    rows = data.draw(st.lists(_entry_rows(chain), max_size=4))
+    targets = [AVector(dict(zip(chain, row))) for row in rows]
+    for g in gens:
+        for h in gens:   # members, and their halves, mostly not members
+            targets += [g + h, (g + h).scale(Fraction(1, 2))]
+    for t in targets:
+        if degree_of(t, fdeg) <= 6:
+            assert in_slice(t, gens, fdeg) == monoid_membership(t, gens, fdeg)
 
 
 def test_is_saturated_hodge(gr24):
@@ -254,10 +315,6 @@ def test_decompose_enumerates_the_chain_monoid_once(gr24, monkeypatch):
         return elements_up_to(gens, fdeg, bound)
 
     monkeypatch.setattr(monoids, "_monoid_elements_up_to", counting)
-    monkeypatch.setattr(
-        monoids, "monoid_membership",
-        lambda *a: pytest.fail("decompose searched for membership"),
-    )
     a = AVector.unit("13") + AVector.unit("24") + AVector.unit("12")
     assert decompose(a, fan, chain) == [
         AVector.unit("24"), AVector.unit("13"), AVector.unit("12")
@@ -431,6 +488,22 @@ def test_fan_mult_commutes_and_associates(gr24):
             assert (left is not None) == bool(common)
 
 
+@pytest.mark.parametrize("name", [*BUNDLED, "A3"])
+def test_fan_mult_is_defined_on_a_common_maximal_chain(name):
+    if name == "A3":
+        ps = bonds(RootSystem.from_type("A3"), (1, 1, 1))
+    else:
+        ps = _hodge_poset(name)
+    ids = sorted(ps.ids)
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(ids, size):
+            a = AVector.unit(subset[0])
+            b = sum((AVector.unit(p) for p in subset[1:] or subset), AVector.zero())
+            on_chain = bool(ps.chains_through(subset))
+            assert (fan_mult(a, b, ps) is not None) == on_chain
+            assert (fan_mult(b, a, ps) is not None) == on_chain
+
+
 def test_gamma_degree_slice(gr24):
     fan = hodge_fan(gr24)
     assert gamma_degree_slice(fan, 0) == [AVector.zero()]
@@ -464,6 +537,13 @@ def test_core_requires_unit_closure():
         Core(chain, [x, AVector.unit("X0")])
     with pytest.raises(SchemaError):
         Core(chain, [AVector.unit("X1", -1), AVector.unit("X0"), AVector.unit("X1")])
+
+
+def test_core_refuses_a_zero_generator():
+    from stratval.monoids import Core
+
+    with pytest.raises(SchemaError, match="generator 0 has nonpositive degree"):
+        Core(("X1", "X0"), [AVector.zero(), AVector.unit("X0")])
 
 
 def test_balanced_report_gr24(gr24, gr24_atlas):

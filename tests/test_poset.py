@@ -114,6 +114,16 @@ def test_chains_through(gr24):
         gr24.chains_through({"nope"})
 
 
+def test_is_chain(gr24):
+    assert gr24.is_chain([])
+    assert gr24.is_chain({"34", "24", "12"})
+    assert not gr24.is_chain({"14", "23"})
+    assert not gr24.is_chain({"34", "14", "23"})
+    for ids in ({"nope"}, {"34", "nope"}):
+        with pytest.raises(SchemaError, match="unknown id 'nope'"):
+            gr24.is_chain(ids)
+
+
 def test_order_complex(gr24):
     faces = gr24.order_complex()
     # brute-force oracle: subsets of maximal chains

@@ -195,6 +195,15 @@ def test_khovanskii(gr24_setup):
     assert not empty.passed
 
 
+def test_khovanskii_drops_constants(gr24_setup):
+    ps, atlas, ring, order, fan, reps = gr24_setup
+    got = khovanskii_check(
+        [parse_laurent(e) for e in ["1", "x12", "x13"]], atlas, fan, ps, order, 1
+    )
+    assert not got.passed
+    assert got.missing == [AVector.unit(p) for p in ("14", "23", "24", "34")]
+
+
 def test_standard_on_stratum(gr24):
     mono = StdMonomial([AVector.unit("24"), AVector.unit("13")])
     assert standard_on_stratum(mono, "34", gr24)
