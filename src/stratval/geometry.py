@@ -3,7 +3,10 @@
 The complex is the order complex of the poset realized with vertices
 e_p / deg f_p.  The volume of each maximal simplex, measured in its chain's
 lattice, is read off the Hermite normal form of that lattice.
-Hilbert functions are sums over faces; sums over chains are cover passes.
+Hilbert functions are sums over faces, each face's lattice points counted
+from its fundamental parallelepiped by coin change; the Stanley-Reisner
+count and the Euler characteristic are passes over the comparable pairs,
+and sums over chains are cover passes.
 """
 
 from __future__ import annotations
@@ -14,13 +17,8 @@ from math import factorial, gcd, prod
 
 from stratval.avector import AVector
 from stratval.errors import SchemaError, ValidationFailure
-from stratval.monoids import (
-    LatticeQ,
-    MonoidFan,
-    is_saturated,
-    lattice_LC,
-    weighted_compositions,
-)
+from stratval.intlattice import hnf_basis
+from stratval.monoids import LatticeQ, MonoidFan, is_saturated, lattice_LC
 from stratval.poset import Chain, StratPoset
 
 
@@ -145,28 +143,116 @@ def hodge_degree(ps: StratPoset) -> Fraction:
 def count_face_points(
     ps: StratPoset, face: Chain, lattice: LatticeQ, n: int
 ) -> int:
-    """#{v >= 0 supported in the face, deg v = n, v in the lattice}."""
-    return _count_lattice_points(ps, face, lattice, n, 0)
-
-
-def _count_lattice_points(
-    ps: StratPoset, face: Chain, lattice: LatticeQ, n: int, low: int
-) -> int:
-    """Lattice points of degree n on the face with all entries >= low / den:
-    low 0 counts the closed face, low 1 its relative interior."""
-    slot = {p: i for i, p in enumerate(lattice.coords)}
-    # a point with an entry off the lattice's coordinates is not in it
-    if low and not slot.keys() >= set(face):
-        return 0
-    face = [p for p in face if p in slot]
-    cols = [slot[p] for p in face]
+    """#{v >= 0 supported in the face, deg v = n, v in the lattice}: the zero
+    vector at n = 0 and the interior counts of the nonempty subfaces.  A face
+    element off the lattice's coordinates carries no lattice point, so the
+    count runs over the face's part in the coordinates."""
+    if n <= 0:
+        return int(n == 0)
     count = 0
-    for ws in weighted_compositions([ps.fdeg[p] for p in face], n * lattice.den, low):
-        scaled = [0] * len(slot)
-        for i, w in zip(cols, ws):
-            scaled[i] = w
-        count += lattice.contains_scaled(scaled)
+    ways: dict = {}
+    for mask in range(1, 1 << len(face)):
+        sub = tuple(p for i, p in enumerate(face) if mask >> i & 1)
+        count += _interior_count(ps, sub, lattice, n, ways)
     return count
+
+
+def _interior_count(
+    ps: StratPoset, face: Chain, lattice: LatticeQ, n: int, ways: dict
+) -> int:
+    """Lattice points of degree n whose entries are positive exactly on the
+    face: each is pi + sum_p k_p t_p e_p with pi in the face's fundamental
+    parallelepiped and k >= 0, so the count is the sum over pi of the ways
+    to pay the rest of n * den with coins deg f_p * t_p.  `ways` keeps the
+    coin-change tables of one caller, keyed by (coins, top)."""
+    coins, residues = _parallelepiped(ps, face, lattice)
+    top = n * lattice.den
+    table = ways.get((coins, top))
+    if table is None:
+        table = ways[coins, top] = [1] + [0] * top
+        for c in coins:
+            for d in range(c, top + 1):
+                table[d] += table[d - c]
+    return sum(table[top - r] for r in residues if r <= top)
+
+
+def _parallelepiped(
+    ps: StratPoset, face: Chain, lattice: LatticeQ
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The face's coins deg f_p * t_p and the sorted degrees of the points
+    of its fundamental parallelepiped, both scaled by den; built once per
+    (lattice, face) and kept on the lattice.
+
+    L_F = L meet Q^F is spanned by the Hermite rows of den * L, taken with
+    the off-face columns first, that vanish off the face.  t_p is the least
+    t > 0 with t e_p in L_F, and the parallelepiped holds one representative
+    in (0, t_p] per coordinate of each class of G = L_F / (+) t_p Z e_p,
+    found by closure over the rows modulo t, one row's cosets at a time; G
+    is trivial when prod t_p is the determinant of L_F.  A face that leaves
+    the lattice's coordinates holds no point; one where L_F has rank below
+    |F| is refused.
+    """
+    weights = tuple(ps.fdeg[p] for p in face)
+    got = lattice._parallelepipeds.get((face, weights))
+    if got is not None:
+        return got
+    slot = {p: i for i, p in enumerate(lattice.coords)}
+    if not all(p in slot for p in face):
+        got = ((), ())
+    else:
+        on = [slot[p] for p in face]
+        off = [i for i in range(len(slot)) if i not in on]
+        k = len(off)
+        rows = [
+            h[k:]
+            for h in hnf_basis([[row[i] for i in off + on] for row in lattice.rows])
+            if not any(h[:k])
+        ]
+        if len(rows) < len(face):
+            raise ValidationFailure(
+                f"chain {'>'.join(lattice.coords)}: the lattice meets the face "
+                f"{'>'.join(face)} in rank {len(rows)}, expected {len(face)}"
+            )
+        t = [_least_multiple(rows, j) for j in range(len(face))]
+        group = [(0,) * len(face)]
+        if prod(t) != prod(row[i] for i, row in enumerate(rows)):
+            for row in rows:
+                # add the cosets of the group by the multiples of the row
+                members = set(group)
+                step = tuple(x % tp for x, tp in zip(row, t))
+                shift, cosets = step, []
+                while shift not in members:
+                    cosets += [
+                        tuple((a + b) % tp for a, b, tp in zip(g, shift, t))
+                        for g in group
+                    ]
+                    shift = tuple((a + b) % tp for a, b, tp in zip(shift, step, t))
+                group += cosets
+        got = (
+            tuple(w * tp for w, tp in zip(weights, t)),
+            tuple(sorted(
+                sum(w * (x or tp) for w, x, tp in zip(weights, g, t)) for g in group
+            )),
+        )
+    lattice._parallelepipeds[face, weights] = got
+    return got
+
+
+def _least_multiple(rows: list[list[int]], j: int) -> int:
+    """The least t > 0 with t e_j in the span of the square echelon rows:
+    the least common denominator of the c solving c @ rows = e_j.  Forward
+    substitution carries c as v / den in integers; each column multiplies
+    den by the least factor that makes its entry integral, so den stays the
+    least common denominator."""
+    v = [0] * len(rows)
+    v[j], den = 1, rows[j][j]
+    for col in range(j + 1, len(rows)):
+        s = sum(v[i] * rows[i][col] for i in range(j, col))
+        g = gcd(s, rows[col][col])
+        scale = rows[col][col] // g
+        v = [x * scale for x in v]
+        v[col], den = -s // g, den * scale
+    return den
 
 
 def hilbert_incl_excl(
@@ -185,7 +271,10 @@ def hilbert_incl_excl(
     chains, each counting the v >= 0 on the meet of S in the lattice of the
     first chain of S: the sets whose first chain contains F cancel unless no
     later chain does.  It holds for any lattices, also ones that disagree on
-    F.  For n = 0 the value is the Euler characteristic, sum of (-1)^(|F|+1).
+    F.  Each face's count is read off its fundamental parallelepiped in
+    L_C(F) by coin change (`_interior_count`); no point is enumerated.  For
+    n = 0 the value is the Euler characteristic, sum of (-1)^(|F|+1), by one
+    pass over the comparable pairs.
 
     Valid for normal (saturated) stratifications only; when a fan is supplied
     its chains are certified up to the bound first and the call refuses on a
@@ -201,24 +290,48 @@ def hilbert_incl_excl(
                     f"chain {'>'.join(chain)} is not saturated "
                     f"(witness {rep.witness}); inclusion-exclusion refused"
                 )
-    last_chain = ps.faces_with_last_chain()
     if n == 0:
-        return sum((-1) ** (len(face) + 1) for face in last_chain)
+        return _euler_characteristic(ps)
+    ways: dict = {}
     return sum(
-        _count_lattice_points(ps, face, lattices[chain], n, 1)
-        for face, chain in last_chain.items()
+        _interior_count(ps, face, lattices[chain], n, ways)
+        for face, chain in ps.faces_with_last_chain().items()
     )
+
+
+def _euler_characteristic(ps: StratPoset) -> int:
+    """The sum of (-1)^(|F|+1) over the faces F, by one pass over the
+    comparable pairs: E[p], the sum over the faces with top p, is
+    1 - sum over q < p of E[q]."""
+    signs: dict[str, int] = {}
+    for p in ps._topo_bottom_up():
+        signs[p] = 1 - sum(signs[q] for q in ps.below(p) if q != p)
+    return sum(signs.values())
 
 
 def sr_hilbert(ps: StratPoset, n: int) -> int:
     """Hilbert function of the bond-free degeneration: monomials with chain
-    support and weighted degree n (weights deg f_p)."""
+    support and weighted degree n (weights deg f_p).
+
+    One pass over the comparable pairs, bottom-up: A[p][d] counts the chains
+    with top p and positive exponents of degree d, and
+    A[p][d] = sum over w >= 1 of ([d = w f_p] + sum over q < p of
+    A[q][d - w f_p]), kept as A[p][d] = B[d - f_p] + A[p][d - f_p] with B the
+    empty chain plus the chains below p.
+    """
     if n < 0:
         raise SchemaError("sr_hilbert needs n >= 0")
     if n == 0:
         return 1
-    return sum(
-        1
-        for face in ps.order_complex()
-        for _ in weighted_compositions([ps.fdeg[p] for p in face], n, 1)
-    )
+    tops: dict[str, list[int]] = {}
+    for p in ps._topo_bottom_up():
+        under = [1] + [0] * n
+        for q in ps.below(p):
+            if q != p:
+                under = [a + b for a, b in zip(under, tops[q])]
+        f = ps.fdeg[p]
+        a = [0] * (n + 1)
+        for d in range(f, n + 1):
+            a[d] = under[d - f] + a[d - f]
+        tops[p] = a
+    return sum(a[n] for a in tops.values())

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from stratval.errors import BoundError, SchemaError, json_int
-from stratval.laurent import LaurentPoly, Monomial, parse_laurent
+from stratval.laurent import LaurentPoly, Monomial, _mono_mul, parse_laurent
 
 SLICE_GUARD = 50_000
 
@@ -72,14 +72,17 @@ class GradedQuotient:
         if len(monos) > SLICE_GUARD:
             raise BoundError(f"degree slice with {len(monos)} monomials refused")
         index = {mo: i for i, mo in enumerate(monos)}
+        shifts: dict[int, list[Monomial]] = {}
         rows: list[dict[int, Fraction]] = []
         for rel, d in self.relations:
             if d > m:
                 continue
-            for shift in self.monomials(m - d):
-                shift_poly = LaurentPoly({shift: Fraction(1)})
-                prod = rel * shift_poly
-                rows.append({index[mo]: c for mo, c in prod.terms.items()})
+            if m - d not in shifts:
+                shifts[m - d] = self.monomials(m - d)
+            for shift in shifts[m - d]:
+                rows.append(
+                    {index[_mono_mul(mo, shift)]: c for mo, c in rel.terms.items()}
+                )
         reduced: list[dict[int, Fraction]] = []
         pivots: dict[int, int] = {}
         for row in rows:

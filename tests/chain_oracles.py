@@ -2,26 +2,33 @@
 and code only the tests call.
 
 The library computes Hilbert functions as one sum over the faces of the
-order complex, chain-sum degrees as one pass over the covers, ordered
-decompositions from chain-monoid slices kept on the fan, monoid membership
-by lookup in an enumerated slice, indecomposables by a sieve over those
-already found, chain volumes off the Hermite form of each lattice, and the
-transform of a Hermite form by eliminating [rows | I].  These are the
-direct forms, kept as oracles for small inputs: the inclusion-exclusion
-over every nonempty set of maximal chains, the degree sums over an explicit
-list of maximal chains, a decomposition that enumerates its slice on every
-call, membership by a depth-first search over generator subtractions,
-indecomposables by testing every ordered pair of a slice, a chain simplex's
-rational structure and volume by a determinant, with its degree-zero
-sublattice and echelon coordinates read from the lattice's integer rows,
-Ehrhart counting over the bounding box of that projected simplex, a
-lattice's rational basis with the degree-zero sublattice and coordinates
-computed through it over Q, the Hermite form by row operations that update
-the transform alongside, chart substitution with every power expanded in
-full, formal fractions of Laurent polynomials for the expanded valuation
-recursion, LS paths as the union of the cut-lattice points over every
-maximal chain, read back as paths, and the LS integrality predicate checked
-on one maximal chain of each Bruhat interval found by BFS.
+order complex, each face counted from its fundamental parallelepiped,
+the Stanley-Reisner count and Euler characteristic as passes over
+comparable pairs, ring slices from shifted monomials, chain-sum degrees
+as one pass over the covers, ordered decompositions from chain-monoid
+slices kept on the fan, monoid membership by lookup in an enumerated
+slice, indecomposables by a sieve over those already found, chain
+volumes off the Hermite form of each lattice, and the transform of a
+Hermite form by eliminating [rows | I].  These are the direct forms,
+kept as oracles for small inputs: the inclusion-exclusion over every
+nonempty set of maximal chains, with each face's lattice points found by
+walking every weighted composition and testing its membership, the
+Stanley-Reisner count and the Euler characteristic summed over the
+listed faces, ring slices built from Laurent products, the degree sums
+over an explicit list of maximal chains, a decomposition that enumerates
+its slice on every call, membership by a depth-first search over
+generator subtractions, indecomposables by testing every ordered pair of
+a slice, a chain simplex's rational structure and volume by a
+determinant, with its degree-zero sublattice and echelon coordinates
+read from the lattice's integer rows, Ehrhart counting over the bounding
+box of that projected simplex, a lattice's rational basis with the
+degree-zero sublattice and coordinates computed through it over Q, the
+Hermite form by row operations that update the transform alongside,
+chart substitution with every power expanded in full, formal fractions
+of Laurent polynomials for the expanded valuation recursion, LS paths as
+the union of the cut-lattice points over every maximal chain, read back
+as paths, and the LS integrality predicate checked on one maximal chain
+of each Bruhat interval found by BFS.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from math import factorial, gcd, lcm
 
 from stratval.avector import AVector, degree_of
 from stratval.errors import BoundError, ChartError, SchemaError, ValidationFailure
-from stratval.geometry import _bottom_vertex, _rank_mismatch, count_face_points
+from stratval.geometry import _bottom_vertex, _rank_mismatch
 from stratval.intlattice import integer_kernel
 from stratval.laurent import LaurentPoly
 from stratval.monoids import (
@@ -41,8 +48,10 @@ from stratval.monoids import (
     _monoid_elements_up_to,
     _supp_positions,
     lattice_generated,
+    weighted_compositions,
 )
 from stratval.poset import Chain, StratPoset
+from stratval.ringmodel import GradedQuotient
 from stratval.weyl import (
     EMPTY_PATH,
     LSPath,
@@ -72,9 +81,82 @@ def hilbert_by_chain_subsets(
         if not shared:
             continue
         face = tuple(p for p in members[0] if p in shared)
-        cnt = count_face_points(ps, face, lattices[members[0]], n)
+        cnt = count_lattice_points(ps, face, lattices[members[0]], n, 0)
         total += cnt if len(members) % 2 == 1 else -cnt
     return total
+
+
+def count_lattice_points(
+    ps: StratPoset, face: Chain, lattice: LatticeQ, n: int, low: int
+) -> int:
+    """Lattice points of degree n on the face with all entries >= low / den,
+    by walking every weighted composition of n * den: low 0 counts the
+    closed face, low 1 its relative interior."""
+    slot = {p: i for i, p in enumerate(lattice.coords)}
+    # a point with an entry off the lattice's coordinates is not in it
+    if low and not slot.keys() >= set(face):
+        return 0
+    face = [p for p in face if p in slot]
+    cols = [slot[p] for p in face]
+    count = 0
+    for ws in weighted_compositions([ps.fdeg[p] for p in face], n * lattice.den, low):
+        scaled = [0] * len(slot)
+        for i, w in zip(cols, ws):
+            scaled[i] = w
+        count += lattice.contains_scaled(scaled)
+    return count
+
+
+def sr_hilbert_by_faces(ps: StratPoset, n: int) -> int:
+    """Monomials with chain support and weighted degree n, one face of the
+    order complex at a time."""
+    if n == 0:
+        return 1
+    return sum(
+        1
+        for face in ps.order_complex()
+        for _ in weighted_compositions([ps.fdeg[p] for p in face], n, 1)
+    )
+
+
+def euler_by_faces(ps: StratPoset) -> int:
+    """Sum of (-1)^(|F|+1) over the faces of the order complex."""
+    return sum((-1) ** (len(face) + 1) for face in ps.order_complex())
+
+
+def ring_slice_by_products(ring: GradedQuotient, m: int):
+    """The degree-m slice of the ideal as `GradedQuotient._slice` returns it,
+    each shifted relation built as a Laurent product with the shift."""
+    monos = ring.monomials(m)
+    index = {mo: i for i, mo in enumerate(monos)}
+    rows: list[dict[int, Fraction]] = []
+    for rel, d in ring.relations:
+        if d > m:
+            continue
+        for shift in ring.monomials(m - d):
+            prod = rel * LaurentPoly({shift: Fraction(1)})
+            rows.append({index[mo]: c for mo, c in prod.terms.items()})
+    reduced: list[dict[int, Fraction]] = []
+    pivots: dict[int, int] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = max(row)
+            if lead not in pivots:
+                inv = 1 / row[lead]
+                row = {j: c * inv for j, c in row.items()}
+                pivots[lead] = len(reduced)
+                reduced.append(row)
+                break
+            other = reduced[pivots[lead]]
+            f = row[lead]
+            for j, c in other.items():
+                s = row.get(j, Fraction(0)) - f * c
+                if s:
+                    row[j] = s
+                else:
+                    row.pop(j, None)
+    return monos, index, reduced, pivots
 
 
 def maximal_chains_below(ps: StratPoset, p: str) -> list[Chain]:

@@ -1,14 +1,14 @@
 """Face and cover sums against their chain-list oracles.
 
-`hilbert_incl_excl` is one sum over the faces of the order complex, and the
-Schubert and Hodge degrees are one pass over the covers; `chain_oracles`
-keeps the inclusion-exclusion over sets of maximal chains and the sums over
-listed chains they must equal.
+`hilbert_incl_excl` is one sum over the faces of the order complex, each
+face counted from its fundamental parallelepiped; `sr_hilbert` and the
+Euler characteristic are passes over the comparable pairs, and the Schubert
+and Hodge degrees are one pass over the covers.  `chain_oracles` keeps the
+inclusion-exclusion over sets of maximal chains with its composition walk,
+the sums over listed faces and the sums over listed chains they must equal.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +16,20 @@ from hypothesis import strategies as st
 
 from chain_oracles import (
     bond_product_sum,
+    count_lattice_points,
+    euler_by_faces,
     hilbert_by_chain_subsets,
     hodge_degree_by_chains,
+    sr_hilbert_by_faces,
 )
 from stratval.errors import ValidationFailure
-from stratval.geometry import default_lattices, hilbert_incl_excl, hodge_degree
+from stratval.geometry import (
+    count_face_points,
+    default_lattices,
+    hilbert_incl_excl,
+    hodge_degree,
+    sr_hilbert,
+)
 from stratval.monoids import LatticeQ
 from stratval.poset import StratPoset, generic_model
 from stratval.weyl import (
@@ -28,6 +37,7 @@ from stratval.weyl import (
     bonds,
     lattice_LC_lambda,
     schubert_degree,
+    weyl_dim,
     weyl_group,
 )
 from stratval.workspace import bundled, load_workspace
@@ -58,6 +68,31 @@ def layered_posets(draw):
     covers = [(u, l, draw(st.integers(1, 3))) for u, l in sorted(pairs)]
     fdeg = {p: draw(st.integers(1, 3)) for p in ids}
     return StratPoset([(p, p) for p in ids], covers, fdeg)
+
+
+@st.composite
+def bonded_lattices(draw):
+    """A layered poset with a full-rank integer lattice on each maximal
+    chain: triangular rows in a drawn column order, diagonal 1-3 and entries
+    -3..3 above it (the first one nonzero), sometimes one more row, over a
+    denominator 1-6."""
+    ps = draw(layered_posets())
+    lattices = {}
+    for chain in ps.maximal_chains():
+        k = len(chain)
+        order = draw(st.permutations(range(k)))
+        rows = []
+        for i in range(k):
+            row = [0] * k
+            row[order[i]] = draw(st.integers(1, 3))
+            for j in range(i + 1, k):
+                entry = st.integers(-3, 3)
+                row[order[j]] = draw(entry.filter(bool) if (i, j) == (0, 1) else entry)
+            rows.append(row)
+        if draw(st.booleans()):
+            rows.append([draw(st.integers(-3, 3)) for _ in range(k)])
+        lattices[chain] = LatticeQ(chain, rows, draw(st.integers(1, 6)))
+    return ps, lattices
 
 
 def bond_sums(ps: StratPoset) -> dict:
@@ -91,6 +126,57 @@ def test_face_and_cover_sums_match_chain_oracles(ps, cut_lattices):
     assert bond_sums(ps) == {p: bond_product_sum(ps, p) for p in ps.ids}
     hodge = hodge_copy(ps)
     assert hodge_degree(hodge) == hodge_degree_by_chains(hodge)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bonded_lattices())
+def test_parallelepiped_counts_match_the_composition_walk(case):
+    """Counts read off each face's parallelepiped equal the composition walk,
+    also for a face that leaves the lattice's coordinates, and the passes
+    over comparable pairs equal the sums over listed faces."""
+    ps, lattices = case
+    chains = ps.maximal_chains()
+    faces = ps.faces_with_last_chain()
+    first = lattices[chains[0]]
+    for n in range(5):
+        if len(chains) <= 6:
+            assert hilbert_incl_excl(ps, lattices, n) == hilbert_by_chain_subsets(
+                ps, lattices, n
+            )
+        for face in faces:
+            assert count_face_points(ps, face, first, n) == count_lattice_points(
+                ps, face, first, n, 0
+            )
+        assert sr_hilbert(ps, n) == sr_hilbert_by_faces(ps, n)
+    assert hilbert_incl_excl(ps, lattices, 0) == euler_by_faces(ps)
+
+
+def test_face_of_deficient_rank_is_refused():
+    ps = StratPoset([("a", "a"), ("b", "b")], [("a", "b", 1)], {"a": 1, "b": 1})
+    diagonal = LatticeQ(("a", "b"), [[1, 1]], 1)
+    with pytest.raises(
+        ValidationFailure,
+        match="chain a>b: the lattice meets the face a in rank 0, expected 1",
+    ):
+        hilbert_incl_excl(ps, {("a", "b"): diagonal}, 1)
+    with pytest.raises(
+        ValidationFailure,
+        match="chain a>b: the lattice meets the face a in rank 0, expected 1",
+    ):
+        count_face_points(ps, ("a", "b"), diagonal, 2)
+    # a face that leaves the lattice's coordinates holds no point
+    assert count_face_points(ps, ("a", "b"), LatticeQ(("b",), [[1]], 1), 2) == 1
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 1), (1, 1, 2)])
+def test_a3_cut_lattices_count_the_weyl_dimension(lam):
+    """A3 has 4,523 faces over 168 cut lattices with denominators up to 12."""
+    rs = RootSystem.from_type("A3")
+    ps = bonds(rs, lam, weyl_group(rs))
+    lattices = {c: lattice_LC_lambda(ps, c) for c in ps.maximal_chains()}
+    want = [weyl_dim(rs, tuple(n * x for x in lam)) for n in range(4)]
+    assert want == [1, 140, 1980, 12320]
+    assert [hilbert_incl_excl(ps, lattices, n) for n in range(4)] == want
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -164,32 +250,3 @@ def test_hodge_cover_pass_matches_chain_list(name):
         )
         return
     assert got == hodge_degree_by_chains(ps)
-
-
-def test_one_membership_test_per_positive_composition(monkeypatch):
-    """Each face tests only the points of its relative interior: at most one
-    lattice-membership call per positive weighted composition of n * den."""
-    ps = load_workspace(bundled("torus_t2")).ps
-    lattices = default_lattices(ps)
-    n = 4
-    bound = 0
-    for face, chain in ps.faces_with_last_chain().items():
-        target = n * lattices[chain].den
-        weights = [ps.fdeg[p] for p in face]
-        bound += sum(
-            1
-            for w in product(range(1, target + 1), repeat=len(face))
-            if sum(a * b for a, b in zip(w, weights)) == target
-        )
-    expected = hilbert_by_chain_subsets(ps, lattices, n)
-    calls = 0
-    membership = LatticeQ.membership
-
-    def counting(self, v):
-        nonlocal calls
-        calls += 1
-        return membership(self, v)
-
-    monkeypatch.setattr(LatticeQ, "membership", counting)
-    assert hilbert_incl_excl(ps, lattices, n) == expected
-    assert calls <= bound

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chain_oracles import (
     RationalStructure,
+    count_lattice_points,
     ehrhart_count,
     rational_structure,
     volume,
@@ -15,7 +16,6 @@ from chain_oracles import (
 from stratval.avector import AVector
 from stratval.errors import BoundError, SchemaError, ValidationFailure
 from stratval.geometry import (
-    _count_lattice_points,
     chain_volume,
     count_face_points,
     default_lattices,
@@ -178,8 +178,8 @@ def test_chain_volume_matches_the_rational_structure(case):
 @settings(max_examples=60, deadline=None)
 @given(chain_lattices(), st.data())
 def test_face_points_counted_in_integers_match_membership(case, data):
-    """The integer count agrees with membership of each point as a rational
-    vector, also where the face leaves the lattice's coordinates."""
+    """The oracle's integer count agrees with membership of each point as a
+    rational vector, also where the face leaves the lattice's coordinates."""
     ps, chain, lattice = case
     picked = data.draw(st.sets(st.sampled_from(chain), min_size=1, max_size=3))
     face = tuple(p for p in chain if p in picked)
@@ -193,7 +193,7 @@ def test_face_points_counted_in_integers_match_membership(case, data):
                 [ps.fdeg[p] for p in face], n * lattice.den, low
             )
         )
-        assert _count_lattice_points(ps, face, lattice, n, low) == want
+        assert count_lattice_points(ps, face, lattice, n, low) == want
 
 
 def test_chain_volume_keeps_the_refusal_messages(gr24):

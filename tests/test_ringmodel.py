@@ -2,9 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from chain_oracles import ring_slice_by_products
 from stratval.errors import BoundError, SchemaError
 from stratval.laurent import parse_laurent
 from stratval.ringmodel import GradedQuotient
+from stratval.workspace import bundled, load_workspace
+
+BUNDLED = [
+    "elliptic1", "elliptic2", "gr24", "psl2", "pset_p2", "quadric", "sl3b",
+    "torus_t2",
+]
 
 
 def poly_ring(names, deg=1):
@@ -94,3 +101,18 @@ def test_is_zero_in_quotient(gr24_ring):
         parse_laurent("x12*x34 + x23*x14 - x13*x24")
     )
     assert not gr24_ring.is_zero_in_quotient(parse_laurent("x12*x34"))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_slice_rows_match_the_laurent_products(name):
+    """Shifting each relation's monomials gives the rows the Laurent products
+    gave: the same reduced rows, entry for entry and in order, and the same
+    pivots."""
+    ring = load_workspace(bundled(name)).require_ring()
+    for m in range(5):
+        monos, index, reduced, pivots = ring._slice(m)
+        want = ring_slice_by_products(ring, m)
+        assert (monos, index, reduced, pivots) == want
+        assert [list(row.items()) for row in reduced] == [
+            list(row.items()) for row in want[2]
+        ]
