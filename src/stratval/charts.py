@@ -9,11 +9,10 @@ outer restrictions, which is what makes every valuation computation exact.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
-from stratval.errors import ChartError, SchemaError, json_int
+from stratval.errors import ChartError, SchemaError, json_int, read_json
 from stratval.laurent import LaurentPoly, Terms, parse_laurent
 from stratval.poset import Chain, StratPoset
 
@@ -66,12 +65,12 @@ class ChainChart:
                 raise ChartError(f"chart for {self.chain} lacks f_expr of {p!r}")
             f = self.f_exprs[p]
             for var in self.divisor_vars[:k]:
-                if f.min_exponent(var) != 0:
+                order, f = f.order_and_lowest_part(var)
+                if order != 0:
                     raise ChartError(
-                        f"f[{p}] has order {f.min_exponent(var)} along {var}; "
+                        f"f[{p}] has order {order} along {var}; "
                         "expected 0 above its own level"
                     )
-                f = f.lowest_part(var)
             out.append(f)
         return out
 
@@ -150,12 +149,7 @@ def load_atlas(path: str, ps: StratPoset, require_all: bool = False) -> Atlas:
     for name in sorted(os.listdir(path)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(path, name)) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"{name}: {e}") from None
-        chart = ChainChart.from_json(doc)
+        chart = ChainChart.from_json(read_json(os.path.join(path, name)))
         chart.check_bonds(ps)
         atlas[chart.chain] = chart
     if require_all:

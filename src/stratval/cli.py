@@ -3,7 +3,7 @@
 Subcommands: validate, hasse, degree, hilbert, valuate, subduct, lspaths,
 generic.  All outputs are versioned JSON/CSV/DOT with sorted keys so runs are
 byte-identical.  Exit codes: 0 ok, 1 validation/computation failure,
-2 schema error, 3 bound refusal.
+2 schema error or unwritable output, 3 bound refusal.
 """
 
 from __future__ import annotations
@@ -256,6 +256,9 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as e:  # such as an --out path under a missing directory
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return 2

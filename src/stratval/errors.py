@@ -1,9 +1,11 @@
-"""Exception hierarchy shared by all modules, and the integer check the JSON
-loaders share.
+"""Exception hierarchy shared by all modules, and the file reader and
+integer check the JSON loaders share.
 
 The CLI maps these onto exit codes: ValidationFailure -> 1,
 SchemaError -> 2, BoundError -> 3.
 """
+
+import json
 
 
 class StratvalError(Exception):
@@ -34,3 +36,13 @@ def json_int(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def read_json(path: str):
+    """The JSON document in the file at path.  A file that cannot be read,
+    is not UTF-8 or is not JSON is a SchemaError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise SchemaError(f"{path}: {e}") from None

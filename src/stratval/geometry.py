@@ -110,12 +110,14 @@ def chain_volumes(
     ps: StratPoset, lattices: dict[Chain, LatticeQ]
 ) -> dict[Chain, Fraction]:
     """Volume of each maximal chain's projected simplex, in chain order."""
-    vols = {}
+    _require_lattices(ps, lattices)
+    return {c: chain_volume(ps, c, lattices[c]) for c in ps.maximal_chains()}
+
+
+def _require_lattices(ps: StratPoset, lattices: dict[Chain, LatticeQ]) -> None:
     for chain in ps.maximal_chains():
         if chain not in lattices:
             raise SchemaError(f"no lattice given for chain {'>'.join(chain)}")
-        vols[chain] = chain_volume(ps, chain, lattices[chain])
-    return vols
 
 
 def degree(ps: StratPoset, lattices: dict[Chain, LatticeQ]) -> Fraction:
@@ -282,6 +284,7 @@ def hilbert_incl_excl(
     """
     if n < 0:
         raise SchemaError("hilbert_incl_excl needs n >= 0")
+    _require_lattices(ps, lattices)
     if fan is not None:
         for chain in fan.chains():
             rep = is_saturated(fan, chain, saturation_bound)

@@ -36,6 +36,14 @@ def _mono_mul(
     return tuple(sorted(d.items()))
 
 
+def _exponent(m: Monomial, var: str) -> int:
+    """The exponent of var in the monomial m, 0 when m lacks it."""
+    for v, e in m:
+        if v == var:
+            return e
+    return 0
+
+
 def _add_term(out: Terms, m: Monomial, c: Fraction) -> None:
     s = out.get(m, 0) + c
     if s:
@@ -103,17 +111,13 @@ class LaurentPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d = dict(self.terms)
+        out = dict(self.terms)
         for m, c in other.terms.items():
-            s = d.get(m, Fraction(0)) + c
-            if s:
-                d[m] = s
-            else:
-                d.pop(m, None)
-        return LaurentPoly(d)
+            _add_term(out, m, c)
+        return LaurentPoly._of(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
+        return LaurentPoly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -125,7 +129,7 @@ class LaurentPoly:
         c = Fraction(c)
         if not c:
             return LaurentPoly()
-        return LaurentPoly({m: c * co for m, co in self.terms.items()})
+        return LaurentPoly._of({m: c * co for m, co in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -141,44 +145,35 @@ class LaurentPoly:
 
     def min_exponent(self, var: str) -> int:
         """Least exponent of var over all terms; the vanishing order along {var=0}."""
+        return self.order_and_lowest_part(var)[0]
+
+    def exponent_range(self, var: str) -> tuple[int, int]:
+        """The least and the greatest exponent of var over the terms."""
+        exps = [_exponent(m, var) for m in self.terms]
+        return min(exps), max(exps)
+
+    def order_and_lowest_part(self, var: str) -> tuple[int, "LaurentPoly"]:
+        """The vanishing order along {var=0}, which is the least exponent of
+        var, and the restriction to that divisor: the terms where var attains
+        it, with var erased.  One pass over the terms."""
         if not self.terms:
             raise ChartError("min_exponent of the zero polynomial")
-        return min(dict(m).get(var, 0) for m in self.terms)
-
-    def divide_by_power(self, var: str, k: int) -> "LaurentPoly":
-        """Multiply by var**(-k); exact in the Laurent ring."""
-        if k == 0:
-            return self
-        shift: Monomial = ((var, -k),)
-        return LaurentPoly({_mono_mul(m, shift): c for m, c in self.terms.items()})
-
-    def set_zero(self, var: str) -> "LaurentPoly":
-        """Restrict to the divisor {var = 0}: drop terms with positive var-exponent
-        and erase var from the rest.  Requires min_exponent(var) >= 0."""
-        out: dict[Monomial, Fraction] = {}
+        order = None
+        low: Terms = {}
         for m, c in self.terms.items():
-            e = dict(m).get(var, 0)
-            if e < 0:
-                raise ChartError(f"set_zero({var}): negative exponent {e} present")
-            if e == 0:
-                out[m] = c
-        return LaurentPoly(out)
-
-    def lowest_part(self, var: str) -> "LaurentPoly":
-        """The terms where var attains its minimal exponent, with var erased."""
-        k = self.min_exponent(var)
-        out = {}
-        for m, c in self.terms.items():
-            if dict(m).get(var, 0) == k:
-                out[_mono_mul(m, ((var, -k),))] = c
-        return LaurentPoly._of(out)
+            e = _exponent(m, var)
+            if order is None or e < order:
+                order, low = e, {}
+            if e == order:
+                low[tuple(p for p in m if p[0] != var) if e else m] = c
+        return order, LaurentPoly._of(low)
 
     def weighted_degree_parts(self, weights: dict[str, int]) -> dict[int, "LaurentPoly"]:
-        parts: dict[int, dict[Monomial, Fraction]] = {}
+        parts: dict[int, Terms] = {}
         for m, c in self.terms.items():
             d = sum(e * weights[v] for v, e in m)
             parts.setdefault(d, {})[m] = c
-        return {d: LaurentPoly(t) for d, t in parts.items()}
+        return {d: LaurentPoly._of(t) for d, t in parts.items()}
 
     def substitute(
         self,
@@ -271,21 +266,21 @@ _TOKEN = re.compile(
 def parse_laurent(text: str) -> LaurentPoly:
     """Parse sums of signed monomials like '3*a^2*b^-1 - x14 + 1/2'."""
     pos = 0
-    total = LaurentPoly.zero()
+    total: Terms = {}
     sign = 1
     coef: Fraction | None = None
     mono: dict[str, int] = {}
     pending = False
 
     def flush():
-        nonlocal sign, coef, mono, pending, total
+        nonlocal sign, coef, mono, pending
         if not pending:
             return
         if coef is None and not mono:
             raise SchemaError(f"dangling sign in {text!r}")
         c = Fraction(sign) * (coef if coef is not None else Fraction(1))
         m = tuple(sorted((v, e) for v, e in mono.items() if e))
-        total = total + LaurentPoly({m: c})
+        _add_term(total, m, c)
         sign, coef, mono, pending = 1, None, {}, False
 
     while pos < len(text):
@@ -311,5 +306,5 @@ def parse_laurent(text: str) -> LaurentPoly:
     flush()
     if not text.strip():
         raise SchemaError("empty expression")
-    return total
+    return LaurentPoly._of(total)
 

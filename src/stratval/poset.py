@@ -10,12 +10,11 @@ has the same length r.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from stratval.avector import TotalOrder
-from stratval.errors import SchemaError, ValidationFailure, json_int
+from stratval.errors import SchemaError, ValidationFailure, json_int, read_json
 
 Chain = tuple[str, ...]  # ids, strictly decreasing top-down
 
@@ -60,6 +59,8 @@ class StratPoset:
         self.extend_bottom = extend_bottom
         self._below: dict[str, set[str]] | None = None
         self._chains: tuple[Chain, ...] | None = None
+        self._faces: dict[Chain, Chain] | None = None
+        self._length: dict[str, int] | None = None
         self._report: ValidationReport | None = None
 
     # -- order machinery ---------------------------------------------------
@@ -144,7 +145,7 @@ class StratPoset:
         """
         if p not in self.covers_of:
             raise SchemaError(f"unknown id {p!r}")
-        if not hasattr(self, "_length"):
+        if self._length is None:
             lens: dict[str, int] = {}
             for q in self._topo_bottom_up():
                 lows = self.covers_of[q]
@@ -185,7 +186,14 @@ class StratPoset:
 
     def faces_with_last_chain(self) -> dict[Chain, Chain]:
         """Each face of the order complex with the last maximal chain, in
-        maximal_chains() order, that contains it."""
+        maximal_chains() order, that contains it.
+
+        Built once per poset; each call returns a fresh dict."""
+        if self._faces is None:
+            self._faces = self._list_faces()
+        return dict(self._faces)
+
+    def _list_faces(self) -> dict[Chain, Chain]:
         last: dict[Chain, Chain] = {}
         for c in self.maximal_chains():
             n = len(c)
@@ -299,12 +307,7 @@ class StratPoset:
 
     @staticmethod
     def load(path) -> "StratPoset":
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"{path}: {e}") from None
-        return StratPoset.from_json(doc)
+        return StratPoset.from_json(read_json(path))
 
     def to_json(self) -> dict:
         return {

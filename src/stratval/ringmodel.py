@@ -9,10 +9,9 @@ relations times all monomials of complementary degree.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
-from stratval.errors import BoundError, SchemaError, json_int
+from stratval.errors import BoundError, SchemaError, json_int, read_json
 from stratval.laurent import LaurentPoly, Monomial, _mono_mul, parse_laurent
 
 SLICE_GUARD = 50_000
@@ -158,9 +157,4 @@ class GradedQuotient:
 
     @staticmethod
     def load(path) -> "GradedQuotient":
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"{path}: {e}") from None
-        return GradedQuotient.from_json(doc)
+        return GradedQuotient.from_json(read_json(path))

@@ -44,10 +44,6 @@ class ValResult:
         return list(self.D)
 
 
-def _order(factors: Factors, var: str) -> int:
-    return sum(e * h.min_exponent(var) for h, e in factors)
-
-
 def _product_variables(factors: Factors) -> set[str]:
     """The variables of the product of h**e over factors with e > 0, read
     without expanding it: in a domain the least and the greatest exponent of
@@ -56,22 +52,24 @@ def _product_variables(factors: Factors) -> set[str]:
     for v in set().union(*(h.variables() for h, _ in factors)):
         lo = hi = 0
         for h, e in factors:
-            exps = [dict(m).get(v, 0) for m in h.terms]
-            lo += e * min(exps)
-            hi += e * max(exps)
+            h_lo, h_hi = h.exponent_range(v)
+            lo += e * h_lo
+            hi += e * h_hi
         if lo or hi:
             out.add(v)
     return out
 
 
-def _leading_constant(factors: Factors, var: str) -> Fraction:
-    """The product of the lowest parts along var raised to their exponents,
-    which must be a constant: each part a single term, and the monomials of
-    those terms cancelling."""
+def _cone_order_and_constant(factors: Factors, var: str) -> tuple[int, Fraction]:
+    """The order of the product along var and the product of the lowest
+    parts raised to their exponents, which must be a constant: each part a
+    single term, and the monomials of those terms cancelling."""
+    nu = 0
     lc = Fraction(1)
     mono: dict[str, int] = {}
     for h, e in factors:
-        low = h.lowest_part(var)
+        order, low = h.order_and_lowest_part(var)
+        nu += e * order
         if len(low.terms) != 1:
             raise ChartError("fraction is not constant")
         ((m, c),) = low.terms.items()
@@ -80,7 +78,7 @@ def _leading_constant(factors: Factors, var: str) -> Fraction:
             mono[v] = mono.get(v, 0) + e * x
     if any(mono.values()):
         raise ChartError("fraction is not constant")
-    return lc
+    return nu, lc
 
 
 def sequence_of_functions(
@@ -102,19 +100,20 @@ def sequence_of_functions(
     for k, var in enumerate(chart.divisor_vars):
         b = bonds[k]
         denom *= b
-        nu = _order(factors, var)
+        parts = [(h.order_and_lowest_part(var), e) for h, e in factors]
+        nu = sum(e * order for (order, _), e in parts)
         chart.check_order(var, nu)
         nus.append(nu)
         D.append(Fraction(nu, denom))
-        # g_k**b / f_k**nu has order b*nu - nu*ord(f_k) along var
-        if b * nu - nu * fs[k].min_exponent(var) != 0:
-            raise ChartError(
-                f"restriction to {{{var}=0}} of a function with nonzero order"
-            )
-        nxt = [(h, e * b) for h, e in factors]
+        factors = [(low, e * b) for (_, low), e in parts]
         if nu:
-            nxt.append((fs[k], -nu))
-        factors = [(h.lowest_part(var), e) for h, e in nxt]
+            f_order, f_low = fs[k].order_and_lowest_part(var)
+            # g_k**b / f_k**nu has order b*nu - nu*ord(f_k) along var
+            if b * nu - nu * f_order != 0:
+                raise ChartError(
+                    f"restriction to {{{var}=0}} of a function with nonzero order"
+                )
+            factors.append((f_low, -nu))
         sequence.append(factors)
     leftover = (
         _product_variables([(h, e) for h, e in factors if e > 0])
@@ -125,12 +124,11 @@ def sequence_of_functions(
             f"restriction left extra variables {sorted(leftover)}; "
             "the chart cannot evaluate this function"
         )
-    nu0 = _order(factors, chart.cone_var)
+    nu0, lc = _cone_order_and_constant(factors, chart.cone_var)
     denom *= bonds[-1]
     nus.append(nu0)
     D.append(Fraction(nu0, denom))
     value = AVector({p: D[i] for i, p in enumerate(chain)})
-    lc = _leading_constant(factors, chart.cone_var)
     return ValResult(value, chain, sequence, D, nus, lc)
 
 
@@ -223,14 +221,14 @@ def rees_min(g: LaurentPoly, p: str, atlas: Atlas, ps: StratPoset) -> Fraction:
         if cur.is_zero():
             raise ChartError("function is zero on the chart")
         for var in edge_chart.divisor_vars[:pos]:
-            order = cur.min_exponent(var)
+            order, low = cur.order_and_lowest_part(var)
             if order > 0:
                 raise ChartError(f"function vanishes identically on the stratum of {p!r}")
             if order < 0:
                 raise ChartError(
                     f"restriction to {{{var}=0}} of a function with nonzero order"
                 )
-            cur = cur.lowest_part(var)
+            cur = low
         nu = cur.min_exponent(edge_chart.divisor_vars[pos])
         ratios.append(Fraction(nu, b))
     return min(ratios)

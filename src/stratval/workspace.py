@@ -3,13 +3,12 @@ ring model, leaf representatives and configuration."""
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
 from stratval.avector import TotalOrder
 from stratval.charts import Atlas, load_atlas
-from stratval.errors import SchemaError
+from stratval.errors import SchemaError, read_json
 from stratval.poset import StratPoset
 from stratval.ringmodel import GradedQuotient
 from stratval.smt import Representatives
@@ -67,17 +66,13 @@ def load_workspace(root: str) -> Workspace:
     rep_entries: list[dict] = []
     ring_path = os.path.join(root, "ring.json")
     if os.path.exists(ring_path):
-        ring = GradedQuotient.load(ring_path)
-        with open(ring_path) as fh:
-            rep_entries = json.load(fh).get("representatives", [])
+        doc = read_json(ring_path)
+        ring = GradedQuotient.from_json(doc)
+        rep_entries = doc.get("representatives", [])
     config = {}
     config_path = os.path.join(root, "config.json")
     if os.path.exists(config_path):
-        with open(config_path) as fh:
-            try:
-                config = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"config.json: {e}") from None
+        config = read_json(config_path)
     return Workspace(root, ps, atlas, ring, rep_entries, config)
 
 

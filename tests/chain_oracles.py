@@ -628,7 +628,10 @@ class LaurentFraction:
             raise ChartError(
                 f"restriction to {{{var}=0}} of a function with nonzero order"
             )
-        return LaurentFraction(self.num.lowest_part(var), self.den.lowest_part(var))
+        return LaurentFraction(
+            self.num.order_and_lowest_part(var)[1],
+            self.den.order_and_lowest_part(var)[1],
+        )
 
     def as_constant(self) -> Fraction:
         """Value when num and den are both constants."""

@@ -264,3 +264,55 @@ def test_hilbert_negative_max_is_a_schema_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("schema error:")
+
+
+UNREADABLE = {
+    "not-utf8": lambda path: path.write_bytes('{"note": "caf\xe9"}'.encode("latin-1")),
+    "directory": lambda path: path.mkdir(),
+}
+
+
+@pytest.mark.parametrize("rel", [
+    "stratification.json", "ring.json", "config.json", "charts/chain_14.json",
+])
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+def test_unreadable_document_is_a_schema_error(tmp_path, capsys, rel, kind):
+    root = tmp_path / "gr24"
+    shutil.copytree(bundled("gr24"), root)
+    path = root / rel
+    if path.exists():
+        path.unlink()
+    UNREADABLE[kind](path)
+    code = main(["degree", "-w", str(root)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("schema error:") and err.count("\n") == 1
+    assert rel.split("/")[-1] in err
+
+
+def test_ring_json_is_read_once(monkeypatch):
+    from stratval import workspace
+
+    reads = []
+    read_json = workspace.read_json
+
+    def counting(path):
+        reads.append(os.path.basename(path))
+        return read_json(path)
+
+    monkeypatch.setattr(workspace, "read_json", counting)
+    ws = workspace.load_workspace(bundled("gr24"))
+    assert reads.count("ring.json") == 1
+    assert ws.ring is not None and ws.representative_entries
+
+
+@pytest.mark.parametrize("argv", [
+    ["hasse", "-w", bundled("gr24"), "--out", "{tmp}/missing/g.dot"],
+    ["generic", "--s", "3", "--r", "2", "--out", "{tmp}/file/model"],
+])
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("a file, not a directory\n")
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -17,6 +17,7 @@ from stratval.avector import AVector
 from stratval.errors import BoundError, SchemaError, ValidationFailure
 from stratval.geometry import (
     chain_volume,
+    chain_volumes,
     count_face_points,
     default_lattices,
     degree,
@@ -436,3 +437,14 @@ def test_gamma_slice_matches_hilbert(gr24):
 def test_degree_missing_lattice_errors(gr24):
     with pytest.raises(SchemaError):
         degree(gr24, {})
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_hilbert_missing_lattice_is_refused_like_the_volumes(gr24, n):
+    lattices = default_lattices(gr24)
+    del lattices[("34", "24", "14", "13", "12")]
+    message = "no lattice given for chain 34>24>14>13>12"
+    with pytest.raises(SchemaError, match=message):
+        hilbert_incl_excl(gr24, lattices, n)
+    with pytest.raises(SchemaError, match=message):
+        chain_volumes(gr24, lattices)

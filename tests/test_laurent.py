@@ -28,15 +28,11 @@ def test_parse_rejects_garbage():
         parse_laurent("x +")
 
 
-def test_min_exponent_and_set_zero():
+def test_min_exponent_of_zero_is_refused():
     t = LaurentPoly.var("t")
-    u = LaurentPoly.var("u")
     assert (t * t).min_exponent("t") == 2
-    assert (LaurentPoly.const(1) + t * u).set_zero("t") == LaurentPoly.const(1)
     with pytest.raises(ChartError):
         LaurentPoly.zero().min_exponent("t")
-    with pytest.raises(ChartError):
-        (t.divide_by_power("t", 2)).set_zero("t")
 
 
 def test_example_open_set_multiplicity():
@@ -75,6 +71,35 @@ def test_min_exponent_multiplicative(g, h):
     prod = g * h
     assert not prod.is_zero()  # integral domain
     assert prod.min_exponent("x") == g.min_exponent("x") + h.min_exponent("x")
+
+
+@given(poly_strategy, st.sampled_from("xyzw"))
+def test_order_and_lowest_part_match_a_dict_reference(g, var):
+    if g.is_zero():
+        with pytest.raises(ChartError):
+            g.order_and_lowest_part(var)
+        return
+    order = min(dict(m).get(var, 0) for m in g.terms)
+    lowest = {
+        tuple((v, e) for v, e in m if v != var): c
+        for m, c in g.terms.items()
+        if dict(m).get(var, 0) == order
+    }
+    assert g.order_and_lowest_part(var) == (order, LaurentPoly(lowest))
+    assert g.min_exponent(var) == order
+    exps = [dict(m).get(var, 0) for m in g.terms]
+    assert g.exponent_range(var) == (min(exps), max(exps))
+
+
+@given(poly_strategy)
+def test_parse_reads_back_what_str_prints(g):
+    assert parse_laurent(str(g)) == g
+
+
+def test_parse_drops_cancelled_terms():
+    assert parse_laurent("x - x") == LaurentPoly.zero()
+    assert parse_laurent("x - x").terms == {}
+    assert parse_laurent("x + y - x") == LaurentPoly.var("y")
 
 
 @given(poly_strategy, poly_strategy, poly_strategy)

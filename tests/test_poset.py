@@ -67,6 +67,26 @@ def test_chains_and_report_are_computed_once(monkeypatch):
     assert listed == 1
 
 
+def test_faces_are_built_once_per_poset(monkeypatch):
+    from stratval.geometry import default_lattices, hilbert_incl_excl
+
+    ps = generic_model(3, 2)
+    built = 0
+    list_faces = StratPoset._list_faces
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        return list_faces(self)
+
+    monkeypatch.setattr(StratPoset, "_list_faces", counting)
+    lattices = default_lattices(ps)
+    assert [hilbert_incl_excl(ps, lattices, n) for n in (1, 2, 3)] == [5, 12, 22]
+    ps.faces_with_last_chain().clear()
+    assert len(ps.order_complex()) == 15
+    assert built == 1
+
+
 def test_s3_bruhat_has_four_chains():
     ps = make_poset(
         ["e", "1", "2", "12", "21", "121"],

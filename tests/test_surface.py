@@ -26,3 +26,23 @@ def test_every_traced_name_resolves(monkeypatch):
         tracer.uninstall()
     wanted = set(metrics.SPAN.values()) | {"weyl.ls_lattice_points"}
     assert sorted(wanted - traced) == []
+
+
+def test_every_span_and_hook_name_is_a_stratval_function(monkeypatch):
+    """The names bench/metrics.py reads, the SPAN values and the keys its
+    hooks install under, each name a function or method of `stratval`."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    metrics = importlib.import_module("metrics")
+    tracer = importlib.import_module("tracer").Tracer()
+    metrics.install_hooks(tracer)
+    names = set(metrics.SPAN.values()) | set(tracer.hooks)
+    assert "weyl.ls_lattice_points" in names
+    missing = []
+    for name in sorted(names):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"stratval.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(name)
+    assert missing == []

@@ -411,3 +411,20 @@ def test_a_limit_past_the_first_divisor_is_not_applied():
     res = chain_valuation(y, chart, ps)
     assert (res.value, res.D, res.nus, res.lc) == chain_valuation_full(y, chart, ps)
     assert res.nus == [0, 1, 1]
+
+
+def test_chart_checked_against_other_bonds_is_refused():
+    ws = load_workspace(bundled("gr24"))
+    chart = ws.atlas[CHAIN_23]
+    doc = ws.ps.to_json()
+    for cover in doc["covers"]:
+        if (cover["upper"], cover["lower"]) == ("34", "24"):
+            cover["bond"] = 2
+    doubled = StratPoset.from_json(doc)
+    image = ambient_image(parse_laurent("x34"), chart)
+    assert sequence_of_functions(image, chart, ws.ps).nus[0] == 1
+    var = chart.divisor_vars[0]
+    with pytest.raises(ChartError, match=re.escape(
+        f"restriction to {{{var}=0}} of a function with nonzero order"
+    )):
+        sequence_of_functions(image, chart, doubled)
