@@ -159,8 +159,11 @@ class Representatives:
     ) -> "Representatives":
         table = {}
         for entry in entries:
-            value = AVector.from_json(entry["value"])
-            expr = parse_laurent(entry["expr"])
+            try:
+                value = AVector.from_json(entry["value"])
+                expr = parse_laurent(entry["expr"])
+            except (KeyError, TypeError, ValueError) as e:
+                raise SchemaError(f"bad representative entry: {e}") from None
             got = quasi_valuation(expr, atlas, ps, order)
             if got != value:
                 raise SchemaError(

@@ -1,7 +1,8 @@
 """Root systems, Weyl groups, Pieri-Chevalley bonds and the LS-path model.
 
-Matrices act on weights written in the fundamental-weight basis, so every
-pairing against a coroot is exact integer arithmetic.  The flag-variety
+Matrices act on weights written in the fundamental-weight basis, and each
+positive root carries its coroot from the closure of the simple roots, so
+every pairing against a coroot is exact integer arithmetic.  The flag-variety
 stratification has the Weyl group with Bruhat order as its poset, degrees
 all one, and the bond on a cover pair sigma over tau with tau = s_beta sigma
 equal to the pairing of tau(lambda) with the coroot of beta.  LS-paths are
@@ -83,6 +84,8 @@ def cartan_matrix(type_name: str) -> list[list[int]]:
 class RootSystem:
     def __init__(self, cartan: list[list[int]]):
         n = len(cartan)
+        if n == 0:
+            raise SchemaError("Cartan matrix must be nonempty")
         for row in cartan:
             if len(row) != n:
                 raise SchemaError("Cartan matrix must be square")
@@ -92,90 +95,71 @@ class RootSystem:
             for j in range(n):
                 if i != j and cartan[i][j] > 0:
                     raise SchemaError("off-diagonal Cartan entries must be <= 0")
+                if (cartan[i][j] == 0) != (cartan[j][i] == 0):
+                    raise SchemaError("Cartan entries a_ij and a_ji must vanish together")
         self.cartan = [list(r) for r in cartan]
         self.rank = n
         self.sym = self._symmetrizer()
-        self.positive_roots = self._generate_positive_roots()
+        self.coroots = self._generate_positive_roots()
+        self.positive_roots = sorted(self.coroots)
 
     @staticmethod
     def from_type(type_name: str) -> "RootSystem":
         return RootSystem(cartan_matrix(type_name))
 
-    def _symmetrizer(self) -> list[Fraction]:
-        d = [Fraction(0)] * self.rank
-        d[0] = Fraction(1)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    if i != j and self.cartan[i][j] and d[i] and not d[j]:
-                        d[j] = d[i] * self.cartan[i][j] / self.cartan[j][i]
-                        changed = True
-        if any(not x for x in d):
-            # disconnected diagram: symmetrize each component separately
-            for i in range(self.rank):
-                if not d[i]:
-                    d[i] = Fraction(1)
-            return self._propagate(d)
-        return d
+    def _symmetrizer(self) -> list[int]:
+        """Positive integers d with d_i a_ij = d_j a_ji: one traversal of each
+        component of the Dynkin diagram from d = 1, then one common scaling."""
+        n, a = self.rank, self.cartan
+        d: list[Fraction | None] = [None] * n
+        for start in range(n):
+            if d[start] is None:
+                d[start] = Fraction(1)
+                component = [start]
+                for i in component:
+                    for j in range(n):
+                        if d[j] is None and a[i][j]:
+                            d[j] = d[i] * a[i][j] / a[j][i]
+                            component.append(j)
+        scale = lcm(*(x.denominator for x in d))
+        sym = [int(scale * x) for x in d]
+        if any(sym[i] * a[i][j] != sym[j] * a[j][i]
+               for i in range(n) for j in range(n)):
+            raise SchemaError("Cartan matrix is not symmetrizable")
+        return sym
 
-    def _propagate(self, d):
-        for _ in range(self.rank):
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    if i != j and self.cartan[i][j]:
-                        d[j] = d[i] * self.cartan[i][j] / self.cartan[j][i]
-        return d
-
-    def _generate_positive_roots(self) -> list[tuple[int, ...]]:
-        """Closure of the simple roots under simple reflections, in the
-        simple-root basis."""
-        simples = [
-            tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)
-        ]
-        seen = set(simples)
-        frontier = list(simples)
+    def _generate_positive_roots(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Closure of the simple roots under simple reflections, carrying each
+        root beta (simple-root basis) with its coroot (simple-coroot basis):
+        s_i beta = beta - <beta, a_i^vee> a_i and s_i beta^vee = beta^vee -
+        <a_i, beta^vee> a_i^vee.  Returns the positive roots' coroots."""
+        n, a = self.rank, self.cartan
+        simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        coroots = dict(zip(simples, simples))
+        frontier = simples
         while frontier:
             nxt = []
             for beta in frontier:
-                for i in range(self.rank):
-                    pairing = sum(
-                        self.cartan[i][j] * beta[j] for j in range(self.rank)
-                    )
+                cobeta = coroots[beta]
+                for i in range(n):
                     new = list(beta)
-                    new[i] -= pairing
+                    new[i] -= sum(a[i][j] * beta[j] for j in range(n))
                     new_t = tuple(new)
-                    if new_t not in seen:
-                        seen.add(new_t)
+                    if new_t not in coroots:
+                        co = list(cobeta)
+                        co[i] -= sum(cobeta[j] * a[j][i] for j in range(n))
+                        coroots[new_t] = tuple(co)
                         nxt.append(new_t)
-                if len(seen) > 4 * CARTAN_BOUND:
+                if len(coroots) > 4 * CARTAN_BOUND:
                     raise BoundError("root generation exceeded the bound")
             frontier = nxt
-        positives = sorted(b for b in seen if all(x >= 0 for x in b))
-        return positives
+        return {b: c for b, c in coroots.items() if all(x >= 0 for x in b)}
 
-    # -- bilinear forms ------------------------------------------------------
+    # -- pairings --------------------------------------------------------------
 
-    def root_form(self, beta: tuple[int, ...], gamma: tuple[int, ...]) -> Fraction:
-        """(beta, gamma) for roots in the simple-root basis."""
-        total = Fraction(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if beta[i] and gamma[j]:
-                    total += beta[i] * gamma[j] * self.sym[i] * self.cartan[i][j]
-        return total
-
-    def weight_root_form(self, lam: Weight, beta: tuple[int, ...]) -> Fraction:
-        """(lambda, beta) for a weight in the omega-basis and a root."""
-        return sum(
-            (beta[j] * self.sym[j] * lam[j] for j in range(self.rank)),
-            Fraction(0),
-        )
-
-    def coroot_pairing(self, lam, beta: tuple[int, ...]) -> Fraction:
-        """<lambda, beta^vee> = 2 (lambda, beta) / (beta, beta)."""
-        return 2 * self.weight_root_form(lam, beta) / self.root_form(beta, beta)
+    def coroot_pairing(self, lam, beta: tuple[int, ...]) -> int:
+        """<lambda, beta^vee> for a weight in the omega-basis."""
+        return sum(l * c for l, c in zip(lam, self.coroots[beta]))
 
     def root_in_omega(self, beta: tuple[int, ...]) -> Weight:
         return tuple(
@@ -184,38 +168,13 @@ class RootSystem:
         )
 
     def reflection_matrix(self, beta: tuple[int, ...]) -> Matrix:
-        """s_beta acting on the omega-basis; integral by crystallography.
-
-        Column j subtracts <omega_j, beta^vee> = 2 beta_j sym_j / (beta, beta)
-        times beta."""
-        beta_omega = self.root_in_omega(beta)
-        norm = sum(b * d * c for b, d, c in zip(beta, self.sym, beta_omega))
-        coroot = []
-        for b, d in zip(beta, self.sym):
-            pair = 2 * b * d / norm
-            if pair.denominator != 1:
-                raise StratvalError("non-integral coroot pairing")
-            coroot.append(int(pair))
+        """s_beta acting on the omega-basis: I - beta_omega beta^vee^T, since
+        <omega_j, beta^vee> is the j-th coroot coordinate."""
+        coroot = self.coroots[beta]
         return tuple(
             tuple(int(k == j) - bk * cj for j, cj in enumerate(coroot))
-            for k, bk in enumerate(beta_omega)
+            for k, bk in enumerate(self.root_in_omega(beta))
         )
-
-
-def _invert_rational(mat):
-    n = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def _mat_mul_int(a: Matrix, b: Matrix) -> Matrix:
@@ -313,9 +272,9 @@ def bonds(rs: RootSystem, lam: Weight, group: WeylGroup | None = None) -> StratP
     for upper, lower, beta in group.covers:
         tau = group.by_id[lower]
         pairing = rs.coroot_pairing(tau.act(lam), beta)
-        if pairing.denominator != 1 or pairing <= 0:
+        if pairing <= 0:
             raise StratvalError(f"bond on ({upper},{lower}) is {pairing}")
-        covers.append((upper, lower, int(pairing)))
+        covers.append((upper, lower, pairing))
     return StratPoset(elements, covers, {w.id: 1 for w in group.elements})
 
 
@@ -523,42 +482,43 @@ def enumerate_ls(
 def freudenthal_character(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     """Weight multiplicities of the Weyl module by the Freudenthal recursion.
 
-    The forms (mu, nu) = mu . diag(sym) Cartan^-1 . nu and (mu, beta) are
-    scaled by the lcm of their denominators, so the recursion runs in
-    integers."""
+    The form is (alpha_i, alpha_j) = d_i a_ij and (omega_j, alpha_i) = d_i
+    delta_ij with the integer symmetrizer d.  Each weight mu carries kappa =
+    lambda - mu in the simple-root basis, so the denominator (lambda + rho,
+    lambda + rho) - (mu + rho, mu + rho) = 2 (lambda + rho, kappa) - (kappa,
+    kappa) needs no inverse Cartan matrix."""
     if any(x < 0 for x in lam):
         raise SchemaError("highest weight must be dominant")
-    winv = _invert_rational([list(map(Fraction, r)) for r in rs.cartan])
-    form = [[d * x for x in row] for d, row in zip(rs.sym, winv)]
-    scale = lcm(*(d.denominator for d in rs.sym),
-                *(x.denominator for row in form for x in row))
-    form = [[int(scale * x) for x in row] for row in form]
-    sym = [int(scale * d) for d in rs.sym]
+    n, sym = rs.rank, rs.sym
+    gram = [[d * x for x in row] for d, row in zip(sym, rs.cartan)]
+    top = [d * (l + 1) for d, l in zip(sym, lam)]    # (lambda + rho, alpha_j)
 
-    def norm(mu: Weight) -> int:
-        return sum(x * sum(f * y for f, y in zip(row, mu)) for x, row in zip(mu, form))
+    def denominator(kappa: tuple[int, ...]) -> int:
+        return sum(
+            k * (2 * t - sum(g * c for g, c in zip(row, kappa)))
+            for k, t, row in zip(kappa, top, gram)
+        )
 
-    rho = tuple(1 for _ in range(rs.rank))
-    norm_top = norm(tuple(l + r for l, r in zip(lam, rho)))
     pos_omega = [
         (rs.root_in_omega(beta), sum(beta), [b * d for b, d in zip(beta, sym)])
         for beta in rs.positive_roots
     ]
     simple_omega = [
-        rs.root_in_omega(tuple(int(t == i) for t in range(rs.rank)))
-        for i in range(rs.rank)
+        rs.root_in_omega(tuple(int(t == i) for t in range(n))) for i in range(n)
     ]
     mults: dict[Weight, int] = {lam: 1}
-    level: list[Weight] = [lam]
+    level: dict[Weight, tuple[int, ...]] = {lam: (0,) * n}
     depth = 0
     while level:
         # descend one height level at a time so every weight above is known
         depth += 1
-        nxt: set[Weight] = set()
-        for mu in level:
-            for alpha_o in simple_omega:
-                nxt.add(tuple(m - b for m, b in zip(mu, alpha_o)))
-        found = []
+        nxt: dict[Weight, tuple[int, ...]] = {}
+        for mu, kappa in level.items():
+            for i, alpha_o in enumerate(simple_omega):
+                down = tuple(m - b for m, b in zip(mu, alpha_o))
+                if down not in nxt:
+                    nxt[down] = kappa[:i] + (kappa[i] + 1,) + kappa[i + 1:]
+        found = {}
         for mu in sorted(nxt):
             if mu in mults:
                 continue
@@ -570,7 +530,7 @@ def freudenthal_character(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
                     cnt = mults.get(up, 0)
                     if cnt:
                         total += 2 * cnt * sum(u * b for u, b in zip(up, beta_sym))
-            denom = norm_top - norm(tuple(m + r for m, r in zip(mu, rho)))
+            denom = denominator(nxt[mu])
             if denom <= 0 or total <= 0:
                 continue
             mult, rem = divmod(total, denom)
@@ -578,22 +538,23 @@ def freudenthal_character(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
                 raise StratvalError("Freudenthal recursion produced a non-integer")
             if mult > 0:
                 mults[mu] = mult
-                found.append(mu)
+                found[mu] = nxt[mu]
         level = found
     return mults
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
+    """prod <lambda + rho, beta^vee> / prod <rho, beta^vee> over beta > 0."""
     rho = tuple(1 for _ in range(rs.rank))
     lam_rho = tuple(l + r for l, r in zip(lam, rho))
-    num, den = Fraction(1), Fraction(1)
+    num = den = 1
     for beta in rs.positive_roots:
         num *= rs.coroot_pairing(lam_rho, beta)
         den *= rs.coroot_pairing(rho, beta)
-    dim = num / den
-    if dim.denominator != 1:
+    dim, rem = divmod(num, den)
+    if rem:
         raise StratvalError("Weyl dimension formula produced a non-integer")
-    return int(dim)
+    return dim
 
 
 @dataclass

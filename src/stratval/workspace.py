@@ -69,10 +69,19 @@ def load_workspace(root: str) -> Workspace:
         doc = read_json(ring_path)
         ring = GradedQuotient.from_json(doc)
         rep_entries = doc.get("representatives", [])
+        if not isinstance(rep_entries, list):
+            raise SchemaError(f"{ring_path}: representatives must be a list")
     config = {}
     config_path = os.path.join(root, "config.json")
     if os.path.exists(config_path):
         config = read_json(config_path)
+        if not isinstance(config, dict):
+            raise SchemaError(f"{config_path}: expected a JSON object")
+        ranked = config.get("total_order")
+        if ranked is not None and not (
+            isinstance(ranked, list) and all(isinstance(p, str) for p in ranked)
+        ):
+            raise SchemaError(f"{config_path}: total_order must be a list of ids")
     return Workspace(root, ps, atlas, ring, rep_entries, config)
 
 

@@ -266,6 +266,33 @@ def test_hilbert_negative_max_is_a_schema_error(capsys):
     assert captured.err.startswith("schema error:")
 
 
+WRONG_SHAPES = {
+    "config-not-an-object": ("config.json", "valuate", lambda doc: ["34"]),
+    "total-order-not-a-list": ("config.json", "valuate", lambda doc: {"total_order": 5}),
+    "representative-without-value": (
+        "ring.json", "subduct",
+        lambda doc: {**doc, "representatives": [{"expr": "x12"}]},
+    ),
+    "representatives-not-a-list": (
+        "ring.json", "subduct", lambda doc: {**doc, "representatives": 5},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+def test_workspace_document_of_the_wrong_shape_is_a_schema_error(tmp_path, capsys, case):
+    rel, command, reshape = WRONG_SHAPES[case]
+    root = tmp_path / "gr24"
+    shutil.copytree(bundled("gr24"), root)
+    path = root / rel
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    path.write_text(json.dumps(reshape(doc)))
+    code = main([command, "-w", str(root), "--poly", "x14"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("schema error:") and err.count("\n") == 1
+
+
 UNREADABLE = {
     "not-utf8": lambda path: path.write_bytes('{"note": "caf\xe9"}'.encode("latin-1")),
     "directory": lambda path: path.mkdir(),

@@ -49,6 +49,44 @@ def test_cartan_parsing():
         cartan_matrix("Z9")
     with pytest.raises(SchemaError):
         RootSystem([[2, 1], [1, 2]])
+    with pytest.raises(SchemaError):
+        RootSystem([])
+    with pytest.raises(SchemaError):
+        RootSystem([[2, 0], [-1, 2]])  # a_01 = 0 but a_10 != 0
+    with pytest.raises(SchemaError, match="not symmetrizable"):
+        RootSystem([[2, -1, -1], [-1, 2, -2], [-1, -1, 2]])
+
+
+POSITIVE_ROOT_COUNTS = (
+    [(f"A{n}", n * (n + 1) // 2) for n in range(1, 9)]
+    + [(f"{k}{n}", n * n) for k in "BC" for n in range(1, 9)]
+    + [(f"D{n}", n * (n - 1)) for n in range(3, 9)]
+    + [("G2", 6), ("F4", 24), ("E6", 36), ("E7", 63), ("E8", 120)]
+)
+
+
+@pytest.mark.parametrize("type_name,count", POSITIVE_ROOT_COUNTS)
+def test_root_data(type_name, count):
+    """Each coroot is 2 beta / (beta, beta) in simple-coroot coordinates, and
+    each reflection is an involution negating its root."""
+    rs = RootSystem.from_type(type_name)
+    n = rs.rank
+    assert len(rs.positive_roots) == count
+    assert rs.positive_roots == sorted(rs.coroots)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for beta in rs.positive_roots:
+        norm = sum(beta[i] * beta[j] * rs.sym[i] * rs.cartan[i][j]
+                   for i in range(n) for j in range(n))
+        coroot = rs.coroots[beta]
+        assert all(c * norm == 2 * d * b for c, d, b in zip(coroot, rs.sym, beta))
+        s = rs.reflection_matrix(beta)
+        assert tuple(
+            tuple(sum(s[i][k] * s[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        ) == identity
+        beta_omega = rs.root_in_omega(beta)
+        assert tuple(sum(s[i][j] * beta_omega[j] for j in range(n))
+                     for i in range(n)) == tuple(-x for x in beta_omega)
 
 
 def test_weyl_group_sizes(a1, a2):
@@ -238,13 +276,40 @@ def test_freudenthal_matches_weyl_dim(a2):
 @pytest.mark.parametrize(
     "type_name,lam",
     [("A2", (3, 2)), ("A3", (1, 1, 1)), ("B2", (1, 1)), ("B2", (2, 1)),
-     ("G2", (1, 0)), ("G2", (0, 1)), ("G2", (1, 1))],
+     ("G2", (1, 0)), ("G2", (0, 1)), ("G2", (1, 1)), ("B3", (1, 1, 1)),
+     ("C3", (1, 1, 1)), ("D4", (1, 0, 0, 0)), ("F4", (1, 0, 0, 0)),
+     ("F4", (0, 0, 0, 1)), ("E6", (1, 0, 0, 0, 0, 0)), ("E6", (0, 1, 0, 0, 0, 0))],
 )
 def test_freudenthal_other_types(type_name, lam):
     rs = RootSystem.from_type(type_name)
     ch = freudenthal_character(rs, lam)
     assert sum(ch.values()) == weyl_dim(rs, lam)
     assert all(m > 0 for m in ch.values())
+
+
+@pytest.mark.parametrize(
+    "type_name,lam,dim",
+    [("D4", (1, 0, 0, 0), 8), ("F4", (1, 0, 0, 0), 26), ("F4", (0, 0, 0, 1), 52),
+     ("E6", (1, 0, 0, 0, 0, 0), 78), ("E6", (0, 1, 0, 0, 0, 0), 27)],
+)
+def test_weyl_dim_known_values(type_name, lam, dim):
+    """The vector representation of so(8), the two smallest of F4 and the
+    adjoint and minuscule representations of E6 in this node labelling."""
+    assert weyl_dim(RootSystem.from_type(type_name), lam) == dim
+
+
+@pytest.mark.parametrize(
+    "type_name,lam", [("B3", (1, 1, 1)), ("C3", (2, 0, 1)), ("G2", (2, 1))],
+)
+def test_freudenthal_is_weyl_invariant(type_name, lam):
+    """mult(s_i mu) = mult(mu) for every simple reflection, with s_i mu =
+    mu - <mu, alpha_i^vee> alpha_i read from the Cartan matrix alone."""
+    rs = RootSystem.from_type(type_name)
+    ch = freudenthal_character(rs, lam)
+    for mu, mult in ch.items():
+        for i in range(rs.rank):
+            image = tuple(m - mu[i] * row[i] for m, row in zip(mu, rs.cartan))
+            assert ch.get(image) == mult, (mu, i)
 
 
 def test_weyl_dim_values(a2):
