@@ -11,7 +11,7 @@ import enum
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from stratval.errors import SchemaError
+from stratval.errors import SchemaError, json_object
 
 
 class Ordering(enum.Enum):
@@ -94,7 +94,7 @@ class AVector:
 
     @staticmethod
     def from_json(d: Mapping[str, str]) -> "AVector":
-        return AVector({k: Fraction(v) for k, v in d.items()})
+        return AVector({k: Fraction(v) for k, v in json_object(d).items()})
 
 
 class TotalOrder:

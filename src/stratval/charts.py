@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from stratval.errors import ChartError, SchemaError, json_int, read_json
+from stratval.errors import ChartError, SchemaError, json_int, json_object, read_json
 from stratval.laurent import LaurentPoly, Terms, parse_laurent
 from stratval.poset import Chain, StratPoset
 
@@ -110,17 +110,21 @@ class ChainChart:
     @staticmethod
     def from_json(doc: dict) -> "ChainChart":
         try:
-            limits = doc.get("order_limits")
+            limits = json_object(doc).get("order_limits")
             return ChainChart(
                 chain=tuple(doc["chain"]),
                 divisor_vars=list(doc["divisor_vars"]),
                 extra_vars=list(doc["extra_vars"]),
-                f_exprs={k: parse_laurent(v) for k, v in doc["f_exprs"].items()},
+                f_exprs={
+                    k: parse_laurent(v) for k, v in json_object(doc["f_exprs"]).items()
+                },
                 ambient_map={
-                    k: parse_laurent(v) for k, v in doc["ambient_map"].items()
+                    k: parse_laurent(v)
+                    for k, v in json_object(doc["ambient_map"]).items()
                 },
                 order_limits=(
-                    {k: json_int(v) for k, v in limits.items()} if limits else None
+                    {k: json_int(v) for k, v in json_object(limits).items()}
+                    if limits else None
                 ),
             )
         except (KeyError, TypeError, ValueError) as e:

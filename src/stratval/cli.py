@@ -9,6 +9,7 @@ byte-identical.  Exit codes: 0 ok, 1 validation/computation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -203,7 +204,10 @@ def cmd_generic(s: int, r: int, out: str) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    each call of `main` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="stratval",
         description="valuations, monoids and Hilbert data for stratified posets",

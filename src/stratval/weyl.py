@@ -9,12 +9,12 @@ equal to the pairing of tau(lambda) with the coroot of beta.  LS-paths are
 enumerated by a depth-first walk over (element, cut) states: a step from tau
 down to sigma may cut only at multiples of 1 / g(sigma, tau), the gcd of the
 bonds along a maximal chain of the Bruhat interval, read from a table built
-in one pass over the covers.  Each enumerated path is validated against that
-table.
+in one pass over the covers.  Paths keep integer cuts over the lcm of the
+bonds until they are handed out, and each is validated against that table.
 
-The Freudenthal character recursion lives here as well, deliberately sharing
-no code with the path enumeration: it is the oracle the path model is
-checked against.
+The Freudenthal character recursion lives here as well, run over the
+dominant weights only and deliberately sharing no code with the path
+enumeration: it is the oracle the path model is checked against.
 """
 
 from __future__ import annotations
@@ -373,22 +373,32 @@ def weight(path: LSPath, group: WeylGroup, lam: Weight,
     paths of one lam."""
     if images is None:
         images = {}
+    for d in path.dirs:
+        if d not in images:
+            images[d] = group.by_id[d].act(lam)
     den = lcm(1, *(c.denominator for c in path.cuts))
-    total = [0] * len(lam)
-    prev = 0
-    for d, c in zip(path.dirs, path.cuts):
-        img = images.get(d)
-        if img is None:
-            img = images[d] = group.by_id[d].act(lam)
-        cut = c.numerator * (den // c.denominator)
-        for i, x in enumerate(img):
-            total[i] += (cut - prev) * x
-        prev = cut
-    if any(x % den for x in total):
-        raise StratvalError(
-            f"path weight {[Fraction(x, den) for x in total]} is not integral"
-        )
-    return tuple(x // den for x in total)
+    return _path_weights([path], den, images, len(lam))[0]
+
+
+def _path_weights(paths: list[LSPath], den: int, images: dict[str, tuple],
+                  rank: int) -> list[Weight]:
+    """The weight of each path, its cuts read as integers over den, a common
+    multiple of their denominators; a weight that is not integral is refused."""
+    out = []
+    for path in paths:
+        total = [0] * rank
+        prev = 0
+        for d, c in zip(path.dirs, path.cuts):
+            cut = c.numerator * (den // c.denominator)
+            step = cut - prev
+            prev = cut
+            total = [t + step * x for t, x in zip(total, images[d])]
+        if any(x % den for x in total):
+            raise StratvalError(
+                f"path weight {[Fraction(x, den) for x in total]} is not integral"
+            )
+        out.append(tuple(x // den for x in total))
+    return out
 
 
 def chain_gcds(poset: StratPoset) -> dict[str, dict[str, int]]:
@@ -419,14 +429,29 @@ def validate_ls(
         return True
     if gcds is None:
         gcds = chain_gcds(bonds(rs, lam, group))
-    for k in range(len(path.dirs) - 1):
-        upper, lower = path.dirs[k], path.dirs[k + 1]
-        if group.by_id[upper].length <= group.by_id[lower].length:
-            return False
-        g = gcds[upper].get(lower)
-        if g is None or (path.cuts[k] * g).denominator != 1:
-            return False
-    return True
+    den = lcm(1, *(c.denominator for c in path.cuts))
+    cuts = tuple(c.numerator * (den // c.denominator) for c in path.cuts)
+    lengths = {d: group.by_id[d].length for d in path.dirs}
+    return _first_break([(path.dirs, cuts)], den, gcds, lengths) is None
+
+
+IntPath = tuple[tuple[str, ...], tuple[int, ...]]   # (dirs, cuts over a den)
+
+
+def _first_break(paths: list[IntPath], den: int,
+                 gcds: dict[str, dict[str, int]],
+                 lengths: dict[str, int]) -> IntPath | None:
+    """The first path whose directions do not strictly decrease in length,
+    or that cuts between tau and the next direction sigma at a c with
+    c * g(sigma, tau) not divisible by den; None when every path passes."""
+    for dirs, cuts in paths:
+        for upper, lower, cut in zip(dirs, dirs[1:], cuts):
+            if lengths[upper] <= lengths[lower]:
+                return dirs, cuts
+            g = gcds[upper].get(lower)
+            if g is None or cut * g % den:
+                return dirs, cuts
+    return None
 
 
 def enumerate_ls(
@@ -438,7 +463,10 @@ def enumerate_ls(
     A depth-first walk over (element, cut) states with integer cuts over the
     lcm L of the bonds: from (tau, k) a path either ends with cut mL or steps
     down to some sigma < tau at a cut in (k, mL) that is a multiple of
-    L / g(sigma, tau).  Every path is then validated against the g table."""
+    L / g(sigma, tau).  The paths stay (dirs, integer cuts) through the sort
+    and the check of every path against the g table; all steps share the
+    denominator L, so the sorted (direction, step) pairs order them as
+    nu(path).key() does.  Fraction cuts are formed last, once per value."""
     _check_regular_dominant(lam, rs.rank)
     if m == 0:  # the one path of degree zero
         return [EMPTY_PATH]
@@ -451,95 +479,120 @@ def enumerate_ls(
         tau: [(sigma, den // g) for sigma, g in row.items()]
         for tau, row in gcds.items()
     }
-    paths: list[LSPath] = []
+    records: list[tuple] = []   # (sorted (direction, step) pairs, dirs, cuts)
     dirs: list[str] = []
-    cuts: list[Fraction] = []
+    cuts: list[int] = []
+    pairs: list[tuple[str, int]] = []
 
     def walk(tau: str, k: int):
         dirs.append(tau)
-        paths.append(LSPath(tuple(dirs), (*cuts, Fraction(m))))
+        pairs.append((tau, top - k))
+        records.append((tuple(sorted(pairs)), tuple(dirs), (*cuts, top)))
+        pairs.pop()
         for sigma, step in steps[tau]:
             for cut in range(k + step - k % step, top, step):
-                cuts.append(Fraction(cut, den))
+                cuts.append(cut)
+                pairs.append((tau, cut - k))
                 walk(sigma, cut)
+                pairs.pop()
                 cuts.pop()
         dirs.pop()
 
     for tau in poset.ids:
         walk(tau, 0)
-    paths.sort(key=lambda p: nu(p).key())
-    for path in paths:
-        if not validate_ls(path, group, rs, lam, gcds):
-            raise StratvalError(
-                f"enumerated path {path} fails the chain predicate; "
-                "walk and path model disagree"
-            )
-    return paths
+    records.sort()
+    paths = [(d, c) for _, d, c in records]
+    lengths = {w.id: w.length for w in group.elements}
+    bad = _first_break(paths, den, gcds, lengths)
+    if bad is not None:
+        path = LSPath(bad[0], tuple(Fraction(c, den) for c in bad[1]))
+        raise StratvalError(
+            f"enumerated path {path} fails the chain predicate; "
+            "walk and path model disagree"
+        )
+    fractions = {c: Fraction(c, den) for c in {c for _, cs in paths for c in cs}}
+    return [LSPath(d, tuple([fractions[c] for c in cs])) for d, cs in paths]
 
 
 # ------------------------------------------------------- character oracle ----
 
 def freudenthal_character(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
-    """Weight multiplicities of the Weyl module by the Freudenthal recursion.
+    """Weight multiplicities of the Weyl module by the Freudenthal recursion,
+    run over the dominant weights only (Moody-Patera).
 
-    The form is (alpha_i, alpha_j) = d_i a_ij and (omega_j, alpha_i) = d_i
-    delta_ij with the integer symmetrizer d.  Each weight mu carries kappa =
-    lambda - mu in the simple-root basis, so the denominator (lambda + rho,
-    lambda + rho) - (mu + rho, mu + rho) = 2 (lambda + rho, kappa) - (kappa,
-    kappa) needs no inverse Cartan matrix."""
+    The dominant weights below lambda are reached from lambda by subtracting
+    positive roots and keeping the dominant results (Stembridge).  Each
+    carries kappa = lambda - mu in the simple-root basis, and with the form
+    (alpha_i, alpha_j) = d_i a_ij, (omega_j, alpha_i) = d_i delta_ij for the
+    integer symmetrizer d, the denominator (lambda + rho, lambda + rho) -
+    (mu + rho, mu + rho) = 2 (lambda + rho, kappa) - (kappa, kappa) needs no
+    inverse Cartan matrix.  Multiplicities are W-invariant, so each mu + k
+    beta in the recursion is read at its dominant representative, found by
+    simple reflections, and the string stops at the first k that is not a
+    weight.  Each dominant weight's orbit is then filled in by simple
+    reflections."""
     if any(x < 0 for x in lam):
         raise SchemaError("highest weight must be dominant")
     n, sym = rs.rank, rs.sym
     gram = [[d * x for x in row] for d, row in zip(sym, rs.cartan)]
     top = [d * (l + 1) for d, l in zip(sym, lam)]    # (lambda + rho, alpha_j)
-
-    def denominator(kappa: tuple[int, ...]) -> int:
-        return sum(
-            k * (2 * t - sum(g * c for g, c in zip(row, kappa)))
-            for k, t, row in zip(kappa, top, gram)
-        )
-
-    pos_omega = [
-        (rs.root_in_omega(beta), sum(beta), [b * d for b, d in zip(beta, sym)])
+    roots = [
+        (rs.root_in_omega(beta), beta, [b * d for b, d in zip(beta, sym)])
         for beta in rs.positive_roots
     ]
     simple_omega = [
         rs.root_in_omega(tuple(int(t == i) for t in range(n))) for i in range(n)
     ]
+    kappas: dict[Weight, tuple[int, ...]] = {lam: (0,) * n}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            kappa = kappas[mu]
+            for beta_o, beta, _ in roots:
+                low = tuple(m - b for m, b in zip(mu, beta_o))
+                if low not in kappas and min(low) >= 0:
+                    kappas[low] = tuple(k + b for k, b in zip(kappa, beta))
+                    nxt.append(low)
+        frontier = nxt
+
+    def dominant(nu: Weight) -> Weight:
+        while True:
+            for i, x in enumerate(nu):
+                if x < 0:   # s_i nu = nu - nu_i alpha_i lies higher
+                    nu = tuple(v - x * a for v, a in zip(nu, simple_omega[i]))
+                    break
+            else:
+                return nu
+
+    # a dominant weight above mu has a shorter kappa, so it is known first
+    order = sorted(kappas, key=lambda mu: (sum(kappas[mu]), mu))
     mults: dict[Weight, int] = {lam: 1}
-    level: dict[Weight, tuple[int, ...]] = {lam: (0,) * n}
-    depth = 0
-    while level:
-        # descend one height level at a time so every weight above is known
-        depth += 1
-        nxt: dict[Weight, tuple[int, ...]] = {}
-        for mu, kappa in level.items():
-            for i, alpha_o in enumerate(simple_omega):
-                down = tuple(m - b for m, b in zip(mu, alpha_o))
-                if down not in nxt:
-                    nxt[down] = kappa[:i] + (kappa[i] + 1,) + kappa[i + 1:]
-        found = {}
-        for mu in sorted(nxt):
-            if mu in mults:
-                continue
-            total = 0
-            for beta_o, height, beta_sym in pos_omega:
-                # mu + k*beta sits k*height levels up; past the top it is gone
-                for k in range(1, depth // height + 1):
-                    up = tuple(m + k * b for m, b in zip(mu, beta_o))
-                    cnt = mults.get(up, 0)
-                    if cnt:
-                        total += 2 * cnt * sum(u * b for u, b in zip(up, beta_sym))
-            denom = denominator(nxt[mu])
-            if denom <= 0 or total <= 0:
-                continue
-            mult, rem = divmod(total, denom)
-            if rem:
-                raise StratvalError("Freudenthal recursion produced a non-integer")
-            if mult > 0:
-                mults[mu] = mult
-                found[mu] = nxt[mu]
-        level = found
+    for mu in order[1:]:
+        total = 0
+        for beta_o, _, beta_sym in roots:
+            up = tuple(m + b for m, b in zip(mu, beta_o))
+            while (cnt := mults.get(dominant(up), 0)):
+                total += 2 * cnt * sum(u * b for u, b in zip(up, beta_sym))
+                up = tuple(u + b for u, b in zip(up, beta_o))
+        kappa = kappas[mu]
+        denom = sum(
+            k * (2 * t - sum(g * c for g, c in zip(row, kappa)))
+            for k, t, row in zip(kappa, top, gram)
+        )
+        mult, rem = divmod(total, denom)
+        if rem:
+            raise StratvalError("Freudenthal recursion produced a non-integer")
+        mults[mu] = mult
+    for mu in order:
+        orbit = [mu]
+        for nu in orbit:
+            for i, x in enumerate(nu):
+                if x:
+                    image = tuple(v - x * a for v, a in zip(nu, simple_omega[i]))
+                    if image not in mults:
+                        mults[image] = mults[mu]
+                        orbit.append(image)
     return mults
 
 
@@ -587,11 +640,13 @@ def character_check(rs: RootSystem, lam: Weight, m: int,
             f"character comparison refused: dim {dim} exceeds "
             f"{CHARACTER_DIM_BOUND}"
         )
+    poset = poset if poset is not None else bonds(rs, lam, group)
     paths = enumerate_ls(rs, lam, m, group=group, poset=poset)
+    # every cut is a multiple of 1 / L with L the lcm of the bonds
+    den = lcm(1, *poset.bond.values())
+    images = {w.id: w.act(lam) for w in group.elements}
     got: dict[Weight, int] = {}
-    images: dict[str, tuple] = {}
-    for path in paths:
-        w = weight(path, group, lam, images)
+    for w in _path_weights(paths, den, images, rs.rank):
         got[w] = got.get(w, 0) + 1
     target = freudenthal_character(rs, dilated)
     discrepancies = []

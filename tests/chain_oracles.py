@@ -27,8 +27,9 @@ Hermite form by row operations that update the transform alongside,
 chart substitution with every power expanded in full, formal fractions
 of Laurent polynomials for the expanded valuation recursion, LS paths as
 the union of the cut-lattice points over every maximal chain, read back
-as paths, and the LS integrality predicate checked on one maximal chain
-of each Bruhat interval found by BFS.
+as paths, the LS integrality predicate checked on one maximal chain of
+each Bruhat interval found by BFS, and Freudenthal's recursion over
+every weight of the module rather than the dominant ones.
 """
 
 from __future__ import annotations
@@ -38,7 +39,13 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from stratval.avector import AVector, degree_of
-from stratval.errors import BoundError, ChartError, SchemaError, ValidationFailure
+from stratval.errors import (
+    BoundError,
+    ChartError,
+    SchemaError,
+    StratvalError,
+    ValidationFailure,
+)
 from stratval.geometry import _bottom_vertex, _rank_mismatch
 from stratval.intlattice import integer_kernel
 from stratval.laurent import LaurentPoly
@@ -724,3 +731,68 @@ def validate_ls_by_bfs(
         if not is_a_lambda_chain(group, rs, lam, path.cuts[k], lower, upper):
             return False
     return True
+
+
+def freudenthal_by_levels(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
+    """Weight multiplicities of the Weyl module by the Freudenthal recursion
+    over every weight, one height level at a time.
+
+    The form is (alpha_i, alpha_j) = d_i a_ij and (omega_j, alpha_i) = d_i
+    delta_ij with the integer symmetrizer d.  Each weight mu carries kappa =
+    lambda - mu in the simple-root basis, so the denominator (lambda + rho,
+    lambda + rho) - (mu + rho, mu + rho) = 2 (lambda + rho, kappa) - (kappa,
+    kappa) needs no inverse Cartan matrix."""
+    if any(x < 0 for x in lam):
+        raise SchemaError("highest weight must be dominant")
+    n, sym = rs.rank, rs.sym
+    gram = [[d * x for x in row] for d, row in zip(sym, rs.cartan)]
+    top = [d * (l + 1) for d, l in zip(sym, lam)]    # (lambda + rho, alpha_j)
+
+    def denominator(kappa: tuple[int, ...]) -> int:
+        return sum(
+            k * (2 * t - sum(g * c for g, c in zip(row, kappa)))
+            for k, t, row in zip(kappa, top, gram)
+        )
+
+    pos_omega = [
+        (rs.root_in_omega(beta), sum(beta), [b * d for b, d in zip(beta, sym)])
+        for beta in rs.positive_roots
+    ]
+    simple_omega = [
+        rs.root_in_omega(tuple(int(t == i) for t in range(n))) for i in range(n)
+    ]
+    mults: dict[Weight, int] = {lam: 1}
+    level: dict[Weight, tuple[int, ...]] = {lam: (0,) * n}
+    depth = 0
+    while level:
+        # descend one height level at a time so every weight above is known
+        depth += 1
+        nxt: dict[Weight, tuple[int, ...]] = {}
+        for mu, kappa in level.items():
+            for i, alpha_o in enumerate(simple_omega):
+                down = tuple(m - b for m, b in zip(mu, alpha_o))
+                if down not in nxt:
+                    nxt[down] = kappa[:i] + (kappa[i] + 1,) + kappa[i + 1:]
+        found = {}
+        for mu in sorted(nxt):
+            if mu in mults:
+                continue
+            total = 0
+            for beta_o, height, beta_sym in pos_omega:
+                # mu + k*beta sits k*height levels up; past the top it is gone
+                for k in range(1, depth // height + 1):
+                    up = tuple(m + k * b for m, b in zip(mu, beta_o))
+                    cnt = mults.get(up, 0)
+                    if cnt:
+                        total += 2 * cnt * sum(u * b for u, b in zip(up, beta_sym))
+            denom = denominator(nxt[mu])
+            if denom <= 0 or total <= 0:
+                continue
+            mult, rem = divmod(total, denom)
+            if rem:
+                raise StratvalError("Freudenthal recursion produced a non-integer")
+            if mult > 0:
+                mults[mu] = mult
+                found[mu] = nxt[mu]
+        level = found
+    return mults

@@ -276,6 +276,20 @@ WRONG_SHAPES = {
     "representatives-not-a-list": (
         "ring.json", "subduct", lambda doc: {**doc, "representatives": 5},
     ),
+    "representative-value-not-an-object": (
+        "ring.json", "subduct",
+        lambda doc: {**doc, "representatives": [{"value": 5, "expr": "x12"}]},
+    ),
+    "chart-not-an-object": ("charts/chain_14.json", "valuate", lambda doc: [doc]),
+    "chart-f_exprs-not-an-object": (
+        "charts/chain_14.json", "valuate", lambda doc: {**doc, "f_exprs": ["x"]},
+    ),
+    "chart-ambient_map-not-an-object": (
+        "charts/chain_14.json", "valuate", lambda doc: {**doc, "ambient_map": "a"},
+    ),
+    "chart-order_limits-not-an-object": (
+        "charts/chain_14.json", "valuate", lambda doc: {**doc, "order_limits": [1]},
+    ),
 }
 
 
@@ -343,3 +357,35 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_one_process_runs_commands_as_fresh_processes_do(tmp_path, capsys):
+    """The parser is built once per process; successive `main` calls with
+    other subcommands and defaults print what fresh processes print, and
+    usage errors still exit 2."""
+    from stratval.cli import build_parser
+
+    assert build_parser() is build_parser()
+    gr24 = bundled("gr24")
+    argvs = [
+        ["hilbert", "-w", gr24, "--max", "2"],
+        ["lspaths", "--type", "A2", "--lambda", "1,1", "--tau", "12"],
+        ["hilbert", "-w", gr24],
+        ["lspaths", "--type", "B2", "--lambda", "1,1", "--degree", "2"],
+        ["lspaths", "--type", "A2", "--lambda", "1,1"],
+        ["validate", "-w", gr24],
+    ]
+    src = str(Path(stratval.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in argvs:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "stratval.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        code, out = run(capsys, *argv)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        for bad in (["lspaths", "--type", "A2"], ["no-such-command"], []):
+            with pytest.raises(SystemExit) as exit_info:
+                main(bad)
+            assert exit_info.value.code == 2
+            assert "usage: stratval" in capsys.readouterr().err

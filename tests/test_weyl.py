@@ -1,12 +1,17 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chain_oracles import enumerate_ls_by_chains, path_from_vector, validate_ls_by_bfs
+from chain_oracles import (
+    enumerate_ls_by_chains,
+    freudenthal_by_levels,
+    path_from_vector,
+    validate_ls_by_bfs,
+)
 from stratval.avector import AVector
 from stratval.errors import BoundError, SchemaError, StratvalError, ValidationFailure
 from stratval.weyl import (
@@ -545,3 +550,46 @@ def test_d4_rho_character_check():
     """D4 has 3.5M maximal chains; the walk finds all 2^12 paths of rho."""
     rep = character_check(RootSystem.from_type("D4"), (1, 1, 1, 1), 1)
     assert rep.ok and rep.path_count == rep.dim == 4096
+
+
+@pytest.mark.parametrize("type_name", ["A2", "B2", "G2", "A3", "B3"])
+def test_integer_paths_agree_with_the_fraction_model(type_name):
+    """The walk's integer order is the order of nu(path).key() on Fraction
+    cuts, every path passes validate_ls, and the integer weights over the
+    lcm of the bonds equal `weight` and the rational endpoint sum."""
+    import stratval.weyl as wy
+
+    rs = RootSystem.from_type(type_name)
+    group = weyl_group(rs)
+    lam = (1,) * rs.rank
+    poset = bonds(rs, lam, group)
+    gcds = chain_gcds(poset)
+    den = lcm(*poset.bond.values())
+    images = {w.id: w.act(lam) for w in group.elements}
+    for m in (1, 2):
+        paths = enumerate_ls(rs, lam, m, group=group, poset=poset)
+        keys = [nu(p).key() for p in paths]   # distinct, so this is the order
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(paths) == weyl_dim(rs, (m,) * rs.rank)
+        assert all(validate_ls(p, group, rs, lam, gcds) for p in paths)
+        integer = wy._path_weights(paths, den, images, rs.rank)
+        for path, w in zip(paths, integer):
+            total = [Fraction(0)] * rs.rank
+            prev = Fraction(0)
+            for d, c in zip(path.dirs, path.cuts):
+                total = [t + (c - prev) * x for t, x in zip(total, images[d])]
+                prev = c
+            assert weight(path, group, lam) == w == tuple(total)
+
+
+@pytest.mark.parametrize(
+    "type_name,lam",
+    [("A2", (1, 1)), ("A2", (2, 2)), ("A2", (3, 0)), ("B2", (1, 1)), ("B2", (2, 2)),
+     ("G2", (1, 1)), ("G2", (2, 2)), ("A3", (1, 1, 1)), ("A3", (2, 2, 2)),
+     ("B3", (1, 1, 1)), ("B3", (2, 2, 2)), ("B3", (0, 0, 1)), ("C3", (1, 1, 1)),
+     ("C3", (2, 0, 1)), ("A4", (1, 1, 1, 1)), ("D4", (1, 1, 1, 1)),
+     ("F4", (0, 0, 0, 1)), ("E6", (1, 0, 0, 0, 0, 0)), ("A1", (0,))],
+)
+def test_dominant_freudenthal_equals_the_recursion_over_every_weight(type_name, lam):
+    rs = RootSystem.from_type(type_name)
+    assert freudenthal_character(rs, lam) == freudenthal_by_levels(rs, lam)
