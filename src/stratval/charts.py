@@ -27,13 +27,14 @@ class ChainChart:
     # absolute order bound per variable for truncated-series charts; computed
     # vanishing orders beyond it are refused rather than trusted
     order_limits: dict[str, int] | None = None
-    # restricted_chain_functions(), set by check_bonds: a per-chart constant
-    restricted_fs: list[LaurentPoly] | None = field(
+    # (order, lowest part) of each restricted f_k along its divisor variable
+    # t_k, k < r, set by check_bonds: per-level constants of the recursion
+    _levels: list[tuple[int, LaurentPoly]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
     # powers of the ambient_map entries, (var, exponent) -> terms, filled by
-    # valuation.ambient_image and truncated as it truncates; nothing changes
-    # ambient_map after load, so the table never goes stale
+    # `image` and truncated as it truncates; nothing changes ambient_map
+    # after load, so the table never goes stale
     _powers: dict[tuple[str, int], Terms] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -53,30 +54,52 @@ class ChainChart:
             f"{self.order_limits[var]}; truncated data cannot decide it"
         )
 
-    def restricted_chain_functions(self) -> list[LaurentPoly]:
-        """f_{p_k} restricted through the outer divisor variables, for each k.
+    def image(self, g: LaurentPoly) -> LaurentPoly:
+        """Map a polynomial in ambient coordinates onto the chart, through the
+        chart's table of powers.
 
-        Checks on the way that f_{p_k} has order 0 along every outer divisor
-        (it must not vanish identically on any intermediate stratum).
-        """
+        When the order limits name the first divisor variable u, with limit
+        L, the image keeps no term of u-order above L.  That is exact for the
+        recursion: if the order nu along u is at most L, dropping those terms
+        changes neither nu nor the lowest part along u, and every later level
+        reads only that lowest part.  A limit on a later divisor variable is
+        not applied, since a dropped term there could set an outer variable's
+        order; `check_order` guards such limits.  A nonzero g whose truncated
+        image is zero has order above L, which the order guard refuses."""
+        var = self.divisor_vars[0] if self.divisor_vars else None
+        limit = (self.order_limits or {}).get(var)
+        if limit is None:
+            return g.substitute(self.ambient_map, powers=self._powers)
+        image = g.substitute(self.ambient_map, {var: limit}, self._powers)
+        if image.is_zero() and not g.is_zero():
+            raise self.order_refusal(var, f"above {limit}")
+        return image
+
+    def restrict(self, g: LaurentPoly, k: int) -> LaurentPoly:
+        """g restricted through the first k divisor variables to the stratum
+        of chain[k], refusing a nonzero order along any of them."""
+        for var in self.divisor_vars[:k]:
+            order, g = g.order_and_lowest_part(var)
+            if order != 0:
+                raise ChartError(
+                    f"order {order} along {var} above the stratum of "
+                    f"{self.chain[k]!r}; expected 0"
+                )
+        return g
+
+    def restricted_chain_functions(self) -> list[LaurentPoly]:
+        """f_{p_k} restricted through the outer divisor variables, for each k:
+        it must not vanish identically on any intermediate stratum."""
         out = []
         for k, p in enumerate(self.chain):
             if p not in self.f_exprs:
                 raise ChartError(f"chart for {self.chain} lacks f_expr of {p!r}")
-            f = self.f_exprs[p]
-            for var in self.divisor_vars[:k]:
-                order, f = f.order_and_lowest_part(var)
-                if order != 0:
-                    raise ChartError(
-                        f"f[{p}] has order {order} along {var}; "
-                        "expected 0 above its own level"
-                    )
-            out.append(f)
+            out.append(self.restrict(self.f_exprs[p], k))
         return out
 
     def check_bonds(self, ps: StratPoset) -> None:
         """The defining property of the chart: divisor orders match the bonds.
-        Keeps the restricted extremal functions in `restricted_fs`."""
+        Keeps each level's (order, lowest part) of the restricted f_k."""
         r = len(self.chain) - 1
         if len(self.divisor_vars) != r:
             raise ChartError(
@@ -87,8 +110,8 @@ class ChainChart:
             raise ChartError("chart needs a cone coordinate in extra_vars")
         bonds = ps.chain_bonds(self.chain)
         fs = self.restricted_chain_functions()
-        for k in range(r):
-            got = fs[k].min_exponent(self.divisor_vars[k])
+        levels = [f.order_and_lowest_part(v) for f, v in zip(fs, self.divisor_vars)]
+        for k, (got, _) in enumerate(levels):
             if got != bonds[k]:
                 raise ChartError(
                     f"chart for {self.chain}: f[{self.chain[k]}] has order {got} "
@@ -105,7 +128,14 @@ class ChainChart:
             raise ChartError(
                 f"f[{self.chain[r]}] has cone order {got}, degree says {bonds[r]}"
             )
-        self.restricted_fs = fs
+        self._levels = levels
+
+    def levels(self, ps: StratPoset) -> list[tuple[int, LaurentPoly]]:
+        """(order, lowest part) of each restricted f_k along t_k, as kept by
+        check_bonds; a chart not yet checked is checked against ps first."""
+        if self._levels is None:
+            self.check_bonds(ps)
+        return self._levels
 
     @staticmethod
     def from_json(doc: dict) -> "ChainChart":
@@ -147,7 +177,7 @@ class ChainChart:
 Atlas = dict[Chain, ChainChart]
 
 
-def load_atlas(path: str, ps: StratPoset, require_all: bool = False) -> Atlas:
+def load_atlas(path: str, ps: StratPoset) -> Atlas:
     """Load every chart json under a directory and verify the bond invariant."""
     atlas: Atlas = {}
     for name in sorted(os.listdir(path)):
@@ -156,8 +186,10 @@ def load_atlas(path: str, ps: StratPoset, require_all: bool = False) -> Atlas:
         chart = ChainChart.from_json(read_json(os.path.join(path, name)))
         chart.check_bonds(ps)
         atlas[chart.chain] = chart
-    if require_all:
-        missing = [c for c in ps.maximal_chains() if c not in atlas]
-        if missing:
-            raise SchemaError(f"atlas lacks charts for chains {missing}")
     return atlas
+
+
+def missing_charts(atlas: Atlas, ps: StratPoset) -> list[Chain]:
+    """The maximal chains of ps with no chart in the atlas, in
+    `ps.maximal_chains()` order."""
+    return [c for c in ps.maximal_chains() if c not in atlas]

@@ -15,6 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
+from stratval.charts import missing_charts
 from stratval.errors import (
     BoundError,
     SchemaError,
@@ -34,8 +35,7 @@ def cmd_validate(ws: Workspace) -> int:
     report = ws.ps.validate()
     chart_failures: list[str] = []
     if report.ok and ws.atlas is not None:
-        missing = [c for c in ws.ps.maximal_chains() if c not in ws.atlas]
-        for c in missing:
+        for c in missing_charts(ws.atlas, ws.ps):
             chart_failures.append(f"no chart for chain {'>'.join(c)}")
     doc = {
         "schema": "stratval-report/1",
@@ -124,7 +124,7 @@ def cmd_valuate(ws: Workspace, poly: str) -> int:
         "per_chain": [
             {
                 "chain": list(chain),
-                "value_top_down": [str(x) for x in res.tuple_top_down()],
+                "value_top_down": [str(x) for x in res.D],
             }
             for chain, res in sorted(per_chain.items())
         ],

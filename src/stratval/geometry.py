@@ -307,7 +307,7 @@ def _euler_characteristic(ps: StratPoset) -> int:
     comparable pairs: E[p], the sum over the faces with top p, is
     1 - sum over q < p of E[q]."""
     signs: dict[str, int] = {}
-    for p in ps._topo_bottom_up():
+    for p in ps.bottom_up():
         signs[p] = 1 - sum(signs[q] for q in ps.below(p) if q != p)
     return sum(signs.values())
 
@@ -327,7 +327,7 @@ def sr_hilbert(ps: StratPoset, n: int) -> int:
     if n == 0:
         return 1
     tops: dict[str, list[int]] = {}
-    for p in ps._topo_bottom_up():
+    for p in ps.bottom_up():
         under = [1] + [0] * n
         for q in ps.below(p):
             if q != p:

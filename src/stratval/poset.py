@@ -57,6 +57,7 @@ class StratPoset:
             if self.fdeg.get(p, 0) < 1:
                 raise SchemaError(f"fdeg of {p!r} must be a positive integer")
         self.extend_bottom = extend_bottom
+        self._bottom_up: tuple[str, ...] | None = None
         self._below: dict[str, set[str]] | None = None
         self._chains: tuple[Chain, ...] | None = None
         self._faces: dict[Chain, Chain] | None = None
@@ -69,7 +70,7 @@ class StratPoset:
         """All q <= p (reflexive, transitive closure of covers)."""
         if self._below is None:
             self._below = {}
-            for q in self._topo_bottom_up():
+            for q in self.bottom_up():
                 acc = {q}
                 for r, _ in self.covers_of[q]:
                     acc |= self._below[r]
@@ -81,21 +82,26 @@ class StratPoset:
     def leq(self, q: str, p: str) -> bool:
         return q in self.below(p)
 
-    def _topo_bottom_up(self) -> list[str]:
-        indeg = {p: len(self.covers_of[p]) for p in self.ids}
-        queue = sorted(p for p in self.ids if indeg[p] == 0)
-        out = []
-        while queue:
-            q = queue.pop(0)
-            out.append(q)
-            for r, _ in self.covered_by[q]:
-                indeg[r] -= 1
-                if indeg[r] == 0:
-                    queue.append(r)
-            queue.sort()
-        if len(out) != len(self.ids):
-            raise ValidationFailure("cover relation contains a cycle")
-        return out
+    def bottom_up(self) -> tuple[str, ...]:
+        """The ids with every element after all elements below it, the least
+        available id first.  Sorted once per poset; a cycle in the covers
+        raises ValidationFailure on every call."""
+        if self._bottom_up is None:
+            indeg = {p: len(self.covers_of[p]) for p in self.ids}
+            queue = sorted(p for p in self.ids if indeg[p] == 0)
+            out = []
+            while queue:
+                q = queue.pop(0)
+                out.append(q)
+                for r, _ in self.covered_by[q]:
+                    indeg[r] -= 1
+                    if indeg[r] == 0:
+                        queue.append(r)
+                queue.sort()
+            if len(out) != len(self.ids):
+                raise ValidationFailure("cover relation contains a cycle")
+            self._bottom_up = tuple(out)
+        return self._bottom_up
 
     def maximal_elements(self) -> list[str]:
         return sorted(p for p in self.ids if not self.covered_by[p])
@@ -147,7 +153,7 @@ class StratPoset:
             raise SchemaError(f"unknown id {p!r}")
         if self._length is None:
             lens: dict[str, int] = {}
-            for q in self._topo_bottom_up():
+            for q in self.bottom_up():
                 lows = self.covers_of[q]
                 lens[q] = 1 + max(lens[x] for x, _ in lows) if lows else 0
             self._length = lens
@@ -158,7 +164,7 @@ class StratPoset:
         of cover(u, l) over their cover pairs and bottom(q) at their minimal
         element q, by one pass over the covers."""
         s: dict = {}
-        for p in self._topo_bottom_up():
+        for p in self.bottom_up():
             lows = self.covers_of[p]
             s[p] = sum(cover(p, q) * s[q] for q, _ in lows) if lows else bottom(p)
         return s
@@ -239,7 +245,7 @@ class StratPoset:
     def _check(self) -> ValidationReport:
         failures = []
         try:
-            self._topo_bottom_up()
+            self.bottom_up()
         except ValidationFailure as e:
             return ValidationReport(False, None, [str(e)])
         tops = self.maximal_elements()

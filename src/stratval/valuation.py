@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from stratval.avector import AVector, TotalOrder, lex_min
-from stratval.charts import Atlas, ChainChart
+from stratval.charts import Atlas, ChainChart, missing_charts
 from stratval.errors import ChartError, SchemaError
 from stratval.laurent import LaurentPoly
 from stratval.poset import Chain, StratPoset
@@ -34,14 +34,11 @@ class ValResult:
     value: AVector                     # embedded in Q^A
     chain: Chain
     # g_r, ..., g_0, each as factors; g_r is the chart image, truncated at
-    # the first divisor variable's order limit (see ambient_image)
+    # the first divisor variable's order limit (see ChainChart.image)
     sequence: list[Factors]
     D: list[Fraction]                  # per-level entries, top-down
     nus: list[int]                     # raw divisor orders
     lc: Fraction                       # iterated leading coefficient
-
-    def tuple_top_down(self) -> list[Fraction]:
-        return list(self.D)
 
 
 def _product_variables(factors: Factors) -> set[str]:
@@ -89,9 +86,7 @@ def sequence_of_functions(
         raise ChartError("cannot valuate the zero function")
     chain = chart.chain
     bonds = ps.chain_bonds(chain)
-    if chart.restricted_fs is None:
-        chart.check_bonds(ps)
-    fs = chart.restricted_fs
+    levels = chart.levels(ps)
     factors: Factors = [(g, 1)]
     sequence = [factors]
     nus: list[int] = []
@@ -107,9 +102,9 @@ def sequence_of_functions(
         D.append(Fraction(nu, denom))
         factors = [(low, e * b) for (_, low), e in parts]
         if nu:
-            f_order, f_low = fs[k].order_and_lowest_part(var)
-            # g_k**b / f_k**nu has order b*nu - nu*ord(f_k) along var
-            if b * nu - nu * f_order != 0:
+            f_order, f_low = levels[k]
+            # g_k**b / f_k**nu has order nu*(b - ord(f_k)) along var
+            if b != f_order:
                 raise ChartError(
                     f"restriction to {{{var}=0}} of a function with nonzero order"
                 )
@@ -132,31 +127,9 @@ def sequence_of_functions(
     return ValResult(value, chain, sequence, D, nus, lc)
 
 
-def ambient_image(g: LaurentPoly, chart: ChainChart) -> LaurentPoly:
-    """Map a polynomial in ambient coordinates onto the chart, through the
-    chart's table of powers.
-
-    When the chart's order limits name its first divisor variable u, with
-    limit L, the image keeps no term of u-order above L.  That is exact for
-    the recursion: if the order nu along u is at most L, dropping those terms
-    changes neither nu nor the lowest part along u, and every later level
-    reads only that lowest part.  A limit on a later divisor variable is not
-    applied, since a dropped term there could set an outer variable's order;
-    `check_order` guards such limits.  A nonzero g whose truncated image is
-    zero has order above L, which the order guard refuses."""
-    var = chart.divisor_vars[0] if chart.divisor_vars else None
-    limit = (chart.order_limits or {}).get(var)
-    if limit is None:
-        return g.substitute(chart.ambient_map, powers=chart._powers)
-    image = g.substitute(chart.ambient_map, {var: limit}, chart._powers)
-    if image.is_zero() and not g.is_zero():
-        raise chart.order_refusal(var, f"above {limit}")
-    return image
-
-
 def chain_valuation(g: LaurentPoly, chart: ChainChart, ps: StratPoset) -> ValResult:
     """Valuate a polynomial in ambient coordinates along one chart."""
-    image = ambient_image(g, chart)
+    image = chart.image(g)
     if image.is_zero():
         raise ChartError("function is zero on the chart (lies in the ideal?)")
     return sequence_of_functions(image, chart, ps)
@@ -167,11 +140,10 @@ def valuate_all(
 ) -> dict[Chain, ValResult]:
     """One valuation pass: the chain valuation of g on every maximal chain,
     keyed in the order of `ps.maximal_chains()`."""
-    chains = ps.maximal_chains()
-    for chain in chains:
-        if chain not in atlas:
-            raise SchemaError(f"no chart for maximal chain {'>'.join(chain)}")
-    return {c: chain_valuation(g, atlas[c], ps) for c in chains}
+    missing = missing_charts(atlas, ps)
+    if missing:
+        raise SchemaError(f"no chart for maximal chain {'>'.join(missing[0])}")
+    return {c: chain_valuation(g, atlas[c], ps) for c in ps.maximal_chains()}
 
 
 def minimum(
@@ -199,36 +171,25 @@ def chains_attaining(
 
 def rees_min(g: LaurentPoly, p: str, atlas: Atlas, ps: StratPoset) -> Fraction:
     """min over covers q of (order of g along the divisor of q in the stratum
-    of p) / bond, computed on any chart containing the edge."""
+    of p) / bond, computed on the first chart, in sorted chain order, that
+    contains the edge p > q."""
     covers = ps.covers_of.get(p)
     if covers is None:
         raise SchemaError(f"unknown id {p!r}")
     if not covers:
         raise ChartError(f"{p!r} is minimal: no covers, no Rees minimum")
+    edges = {}
+    for chain, chart in sorted(atlas.items()):
+        for i, edge in enumerate(zip(chain, chain[1:])):
+            edges.setdefault(edge, (chart, i))
     ratios = []
     for q, b in sorted(covers):
-        edge_chart = None
-        pos = -1
-        for chain, chart in sorted(atlas.items()):
-            if p in chain:
-                i = chain.index(p)
-                if i + 1 < len(chain) and chain[i + 1] == q:
-                    edge_chart, pos = chart, i
-                    break
-        if edge_chart is None:
+        if (p, q) not in edges:
             raise SchemaError(f"no chart in the atlas contains the edge {p} > {q}")
-        cur = ambient_image(g, edge_chart)
+        chart, pos = edges[(p, q)]
+        cur = chart.image(g)
         if cur.is_zero():
             raise ChartError("function is zero on the chart")
-        for var in edge_chart.divisor_vars[:pos]:
-            order, low = cur.order_and_lowest_part(var)
-            if order > 0:
-                raise ChartError(f"function vanishes identically on the stratum of {p!r}")
-            if order < 0:
-                raise ChartError(
-                    f"restriction to {{{var}=0}} of a function with nonzero order"
-                )
-            cur = low
-        nu = cur.min_exponent(edge_chart.divisor_vars[pos])
+        nu = chart.restrict(cur, pos).min_exponent(chart.divisor_vars[pos])
         ratios.append(Fraction(nu, b))
     return min(ratios)

@@ -408,7 +408,7 @@ def chain_gcds(poset: StratPoset) -> dict[str, dict[str, int]]:
     One bottom-up pass over the covers: g(sigma, tau) = gcd(b(tau, tau'),
     g(sigma, tau')) through the first listed cover tau' of tau above sigma."""
     gcds: dict[str, dict[str, int]] = {}
-    for tau in sorted(poset.ids, key=poset.length):
+    for tau in poset.bottom_up():
         row: dict[str, int] = {}
         for low, b in poset.covers_of[tau]:
             row.setdefault(low, b)

@@ -25,7 +25,9 @@ box of that projected simplex, a lattice's rational basis with the
 degree-zero sublattice and coordinates computed through it over Q, the
 Hermite form by row operations that update the transform alongside,
 chart substitution with every power expanded in full, formal fractions
-of Laurent polynomials for the expanded valuation recursion, LS paths as
+of Laurent polynomials for the expanded valuation recursion, the Rees
+minimum with the atlas sorted and scanned for each cover and its own
+restriction through the outer divisor variables, LS paths as
 the union of the cut-lattice points over every maximal chain, read back
 as paths, the LS integrality predicate checked on one maximal chain of
 each Bruhat interval found by BFS, and Freudenthal's recursion over
@@ -653,6 +655,44 @@ class LaurentFraction:
         return f"({self.num}) / ({self.den})"
 
     __repr__ = __str__
+
+
+def rees_min_by_scan(g: LaurentPoly, p: str, atlas, ps: StratPoset) -> Fraction:
+    """min over covers q of (order of g along the divisor of q in the stratum
+    of p) / bond, computed on the first chart, in sorted chain order, that
+    contains the edge p > q, found by a scan of the sorted atlas."""
+    covers = ps.covers_of.get(p)
+    if covers is None:
+        raise SchemaError(f"unknown id {p!r}")
+    if not covers:
+        raise ChartError(f"{p!r} is minimal: no covers, no Rees minimum")
+    ratios = []
+    for q, b in sorted(covers):
+        edge_chart = None
+        pos = -1
+        for chain, chart in sorted(atlas.items()):
+            if p in chain:
+                i = chain.index(p)
+                if i + 1 < len(chain) and chain[i + 1] == q:
+                    edge_chart, pos = chart, i
+                    break
+        if edge_chart is None:
+            raise SchemaError(f"no chart in the atlas contains the edge {p} > {q}")
+        cur = edge_chart.image(g)
+        if cur.is_zero():
+            raise ChartError("function is zero on the chart")
+        for var in edge_chart.divisor_vars[:pos]:
+            order, low = cur.order_and_lowest_part(var)
+            if order > 0:
+                raise ChartError(f"function vanishes identically on the stratum of {p!r}")
+            if order < 0:
+                raise ChartError(
+                    f"restriction to {{{var}=0}} of a function with nonzero order"
+                )
+            cur = low
+        nu = cur.min_exponent(edge_chart.divisor_vars[pos])
+        ratios.append(Fraction(nu, b))
+    return min(ratios)
 
 
 def enumerate_ls_by_chains(

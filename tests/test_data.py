@@ -9,6 +9,7 @@ import os
 import pytest
 
 import datagen
+from stratval.errors import read_json
 from stratval.laurent import parse_laurent
 from stratval.poset import StratPoset
 from stratval.workspace import bundled, load_workspace
@@ -43,7 +44,7 @@ def test_workspace_loads_and_validates(name):
 )
 def test_exact_charts_kill_the_relations(name):
     ws = load_workspace(bundled(name))
-    ring_doc = json.load(open(os.path.join(bundled(name), "ring.json")))
+    ring_doc = read_json(os.path.join(bundled(name), "ring.json"))
     for chart in ws.require_atlas().values():
         for rel in ring_doc["relations"]:
             image = parse_laurent(rel).substitute(chart.ambient_map)
@@ -121,7 +122,7 @@ def test_psl2_chart_values_for_xt():
 
     ws = load_workspace(bundled("psl2"))
     per_chain = valuate_all(parse_laurent("x*t"), ws.require_atlas(), ws.ps)
-    got = {c: tuple(r.tuple_top_down()) for c, r in per_chain.items()}
+    got = {c: tuple(r.D) for c, r in per_chain.items()}
     assert got[("X5", "X4", "X1", "X0")] == (0, 1, 0, 0)
     assert got[("X5", "X4", "X2", "X0")] == (0, 1, 0, 0)
     assert got[("X5", "X3", "X1", "X0")] == (0, 1, 0, 1)

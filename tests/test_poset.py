@@ -67,6 +67,27 @@ def test_chains_and_report_are_computed_once(monkeypatch):
     assert listed == 1
 
 
+def test_bottom_up_order_is_sorted_once(gr24):
+    order = gr24.bottom_up()
+    assert gr24.bottom_up() is order
+    assert sorted(order) == sorted(gr24.ids)
+    seen: set[str] = set()
+    for p in order:
+        assert {q for q, _ in gr24.covers_of[p]} <= seen, p
+        seen.add(p)
+
+
+def test_a_cycle_is_refused_on_every_call():
+    ps = make_poset(["a", "b"], [("a", "b", 1), ("b", "a", 1)])
+    for _ in range(2):
+        with pytest.raises(ValidationFailure, match="contains a cycle"):
+            ps.bottom_up()
+    with pytest.raises(ValidationFailure, match="contains a cycle"):
+        ps.length("a")
+    rep = ps.validate()
+    assert not rep.ok and rep.failures == ["cover relation contains a cycle"]
+
+
 def test_faces_are_built_once_per_poset(monkeypatch):
     from stratval.geometry import default_lattices, hilbert_incl_excl
 

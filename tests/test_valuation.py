@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 from functools import cache
@@ -6,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chain_oracles import LaurentFraction, substitute_full
+from chain_oracles import LaurentFraction, rees_min_by_scan, substitute_full
 from stratval.avector import AVector
 from stratval.charts import ChainChart
-from stratval.errors import ChartError
+from stratval.errors import ChartError, StratvalError
 from stratval.laurent import LaurentPoly, parse_laurent
 from stratval.poset import StratPoset
 from stratval.valuation import (
-    ambient_image,
     chain_valuation,
     chains_attaining,
     quasi_valuation,
@@ -41,7 +41,7 @@ def test_valuation_table_chain_23(gr24, gr24_atlas):
     chart = gr24_atlas[CHAIN_23]
     for name, expected in TABLE_23.items():
         res = chain_valuation(parse_laurent(name), chart, gr24)
-        assert res.tuple_top_down() == [Fraction(x) for x in expected], name
+        assert res.D == [Fraction(x) for x in expected], name
         assert res.lc == 1
 
 
@@ -108,8 +108,8 @@ def test_chains_attaining_support_law(gr24, gr24_atlas):
 
 def test_valuate_all_covers_both_chains(gr24, gr24_atlas):
     per_chain = valuate_all(parse_laurent("x14"), gr24_atlas, gr24)
-    assert per_chain[CHAIN_23].tuple_top_down() == [0, 1, -1, 1, 0]
-    assert per_chain[CHAIN_14].tuple_top_down() == [0, 0, 1, 0, 0]
+    assert per_chain[CHAIN_23].D == [0, 1, -1, 1, 0]
+    assert per_chain[CHAIN_14].D == [0, 0, 1, 0, 0]
 
 
 def test_rees_min(gr24, gr24_atlas):
@@ -221,7 +221,7 @@ def test_factored_recursion_matches_expanded(name, data):
     # "q" is foreign to every chart: a function using it cannot be evaluated
     foreign = data.draw(st.sampled_from([[], ["q"]]))
     local = data.draw(polys(chart.divisor_vars + chart.extra_vars + foreign, -2, 2))
-    for g in (ambient_image(ambient, chart), local):
+    for g in (chart.image(ambient), local):
         assert factored_or_error(g, chart, ws.ps) == expanded_or_error(g, chart, ws.ps)
 
 
@@ -229,7 +229,7 @@ def test_factored_recursion_matches_expanded(name, data):
 def test_recursion_expands_no_power(name, monkeypatch):
     ws = workspace(name)
     images = [
-        (ambient_image(parse_laurent(text), chart), chart)
+        (chart.image(parse_laurent(text)), chart)
         for text in ["x", "y", "z", "x*y + 2*z^2", "y^3 - x*z^2", "x^2*y*z + z^4"]
         for chart in ws.atlas.values()
     ]
@@ -403,7 +403,7 @@ def test_a_limit_past_the_first_divisor_is_not_applied():
     )
     chart.check_bonds(ps)
     x = parse_laurent("x")
-    assert ambient_image(x, chart) == parse_laurent("t + a*s^3")
+    assert chart.image(x) == parse_laurent("t + a*s^3")
     with pytest.raises(ChartError, match="^order 3 along s exceeds"):
         chain_valuation(x, chart, ps)
     assert str(chain_valuation_full(x, chart, ps)).startswith("order 3 along s")
@@ -421,10 +421,108 @@ def test_chart_checked_against_other_bonds_is_refused():
         if (cover["upper"], cover["lower"]) == ("34", "24"):
             cover["bond"] = 2
     doubled = StratPoset.from_json(doc)
-    image = ambient_image(parse_laurent("x34"), chart)
+    image = chart.image(parse_laurent("x34"))
     assert sequence_of_functions(image, chart, ws.ps).nus[0] == 1
     var = chart.divisor_vars[0]
     with pytest.raises(ChartError, match=re.escape(
         f"restriction to {{{var}=0}} of a function with nonzero order"
     )):
         sequence_of_functions(image, chart, doubled)
+
+
+@pytest.mark.parametrize("name,chain", ALL_CHARTS)
+def test_kept_levels_are_the_restricted_extremal_orders(name, chain):
+    ws = workspace(name)
+    chart = ws.atlas[chain]
+    fs = chart.restricted_chain_functions()
+    levels = chart.levels(ws.ps)
+    assert levels == [
+        fs[k].order_and_lowest_part(var) for k, var in enumerate(chart.divisor_vars)
+    ]
+    assert [order for order, _ in levels] == ws.ps.chain_bonds(chain)[:-1]
+
+
+def test_the_recursion_divides_by_the_kept_lowest_part():
+    # a fresh load: the marker must not reach the charts other tests share
+    ws = load_workspace(bundled("gr24"))
+    chart = ws.atlas[CHAIN_23]
+    g = chart.image(parse_laurent("x14"))
+    level = 1
+    order, low = chart.levels(ws.ps)[level]
+    res = sequence_of_functions(g, chart, ws.ps)
+    nu = res.nus[level]
+    assert nu == 1 and (low, -nu) in res.sequence[level + 1] and res.lc == 1
+    marker = LaurentPoly.const(7)
+    chart._levels[level] = (order, marker)
+    res = sequence_of_functions(g, chart, ws.ps)
+    assert (marker, -nu) in res.sequence[level + 1]
+    assert (low, -nu) not in res.sequence[level + 1]
+    # every bond on the chain is 1, so the marker reaches the constant as 7**-1
+    assert res.lc == Fraction(1, 7)
+
+
+def test_restriction_refuses_any_nonzero_order(gr24_atlas):
+    chart = gr24_atlas[CHAIN_23]
+    var, cone = chart.divisor_vars[0], chart.cone_var
+    assert chart.restrict(parse_laurent(f"{cone} + {var}"), 1) == parse_laurent(cone)
+    for e in (1, -1):
+        g = parse_laurent(f"{var}^{e}*{cone}")
+        assert chart.restrict(g, 0) == g
+        with pytest.raises(ChartError) as refused:
+            chart.restrict(g, 2)
+        assert str(refused.value) == (
+            f"order {e} along {var} above the stratum of {CHAIN_23[2]!r}; expected 0"
+        )
+
+
+def rees_min_or_refusal(rees, g, p, ws):
+    try:
+        return rees(g, p, ws.atlas, ws.ps)
+    except StratvalError as e:
+        return e
+
+
+@pytest.mark.parametrize("name", ALL_SETS)
+def test_rees_min_matches_the_scan_over_the_atlas(name, monkeypatch):
+    """On every non-minimal element: the ring's generators (the extremal
+    functions that are generators), their products in pairs and the ring's
+    relations give the same value or a refusal of the same type, read on
+    the same charts."""
+    ws = workspace(name)
+    gens = [parse_laurent(v) for v in ws.ring.vars]
+    polys = gens + [a * b for a, b in itertools.combinations_with_replacement(gens, 2)]
+    polys += [rel for rel, _ in ws.ring.relations]
+    imaged = []
+    real_image = ChainChart.image
+    monkeypatch.setattr(
+        ChainChart, "image", lambda self, g: imaged.append(self.chain) or real_image(self, g)
+    )
+    refused = 0
+    for p in ws.ps.ids:
+        if not ws.ps.covers_of[p]:
+            continue
+        for g in polys:
+            got = rees_min_or_refusal(rees_min, g, p, ws)
+            charts = imaged[:]
+            imaged.clear()
+            want = rees_min_or_refusal(rees_min_by_scan, g, p, ws)
+            assert charts == imaged, (p, g)
+            imaged.clear()
+            if isinstance(want, Exception):
+                assert type(got) is type(want), (p, g)
+                refused += 1
+            else:
+                assert got == want, (p, g)
+    assert 0 < refused < len(polys) * len(ws.ps.ids)
+
+
+def test_rees_min_keeps_the_order_limit_message():
+    ws = workspace("elliptic1")
+    message = (
+        "order above 35 along u exceeds the chart's faithful range 35; "
+        "truncated data cannot decide it"
+    )
+    for text in ["y^2*z - x^3 + x*z^2", "x^36", "x^36*y + z^37"]:
+        for rees in (rees_min, rees_min_by_scan):
+            refusal = rees_min_or_refusal(rees, parse_laurent(text), "X1", ws)
+            assert type(refusal) is ChartError and str(refusal) == message, text
