@@ -4,22 +4,24 @@ The complex is the order complex of the poset realized with vertices
 e_p / deg f_p.  The volume of each maximal simplex, measured in its chain's
 lattice, is read off the Hermite normal form of that lattice.
 Hilbert functions are sums over faces, each face's lattice points counted
-from its fundamental parallelepiped by coin change; the Stanley-Reisner
-count and the Euler characteristic are passes over the comparable pairs,
-and sums over chains are cover passes.
+from its fundamental parallelepiped by coin change.  On product and cut
+lattices, where a face's count depends on the face alone, the sum is one
+pass over the comparable pairs, as are the Stanley-Reisner count and the
+Euler characteristic; sums over chains are cover passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 
 from stratval.avector import AVector
 from stratval.errors import SchemaError, ValidationFailure
 from stratval.intlattice import hnf_basis
 from stratval.monoids import LatticeQ, MonoidFan, is_saturated, lattice_LC
 from stratval.poset import Chain, StratPoset
+from stratval.weyl import chain_gcds, first_direction_counts, is_cut_lattice
 
 
 @dataclass
@@ -265,18 +267,13 @@ def hilbert_incl_excl(
     saturation_bound: int = 8,
 ) -> int:
     """Lattice points of degree n in the fan, one sum over the faces F of
-    the order complex.
+    the order complex (`face_sum`).
 
-    For n > 0: the sum over F of #{v in L_C(F) : deg v = n, v_p > 0 exactly
-    on F}, where C(F) is the last chain in ps.maximal_chains() order that
-    contains F.  This equals inclusion-exclusion over the sets S of maximal
-    chains, each counting the v >= 0 on the meet of S in the lattice of the
-    first chain of S: the sets whose first chain contains F cancel unless no
-    later chain does.  It holds for any lattices, also ones that disagree on
-    F.  Each face's count is read off its fundamental parallelepiped in
-    L_C(F) by coin change (`_interior_count`); no point is enumerated.  For
-    n = 0 the value is the Euler characteristic, sum of (-1)^(|F|+1), by one
-    pass over the comparable pairs.
+    For n > 0 it is counted by one pass over the comparable pairs instead
+    when the lattices make each face's count depend on the face alone
+    (`pair_count`); every other family of lattices goes through the face
+    list.  For n = 0 the value is the Euler characteristic, sum of
+    (-1)^(|F|+1), by one pass over the comparable pairs.
 
     Valid for normal (saturated) stratifications only; when a fan is supplied
     its chains are certified up to the bound first and the call refuses on a
@@ -295,11 +292,86 @@ def hilbert_incl_excl(
                 )
     if n == 0:
         return _euler_characteristic(ps)
+    count = pair_count(ps, lattices, n)
+    return face_sum(ps, lattices, n) if count is None else count
+
+
+def face_sum(ps: StratPoset, lattices: dict[Chain, LatticeQ], n: int) -> int:
+    """For n > 0: the sum over the faces F of the order complex of #{v in
+    L_C(F) : deg v = n, v_p > 0 exactly on F}, where C(F) is the last chain
+    in ps.maximal_chains() order that contains F.
+
+    This equals inclusion-exclusion over the sets S of maximal chains, each
+    counting the v >= 0 on the meet of S in the lattice of the first chain
+    of S: the sets whose first chain contains F cancel unless no later chain
+    does.  It holds for any lattices, also ones that disagree on F.  Each
+    face's count is read off its fundamental parallelepiped in L_C(F) by
+    coin change (`_interior_count`); no point is enumerated.
+    """
     ways: dict = {}
     return sum(
         _interior_count(ps, face, lattices[chain], n, ways)
         for face, chain in ps.faces_with_last_chain().items()
     )
+
+
+def pair_count(
+    ps: StratPoset, lattices: dict[Chain, LatticeQ], n: int
+) -> int | None:
+    """`face_sum` for n > 0 as one pass over the comparable pairs, for the
+    two families of lattices on which a face's count depends on the face
+    alone; None for any other lattices.
+
+    - Product lattices: every maximal chain's lattice has full rank and
+      diagonal Hermite rows, and each element p has one step s_p on every
+      chain through it.  A face's interior points are then the k_p s_p e_p
+      with k_p >= 1, so the count is `sr_hilbert`'s with coin deg f_p * s_p
+      over the lcm of the step denominators.
+    - Cut lattices: every extremal degree is one, each chain's lattice is
+      `weyl.lattice_LC_lambda`'s, and the bond gcd g(sigma, tau) of every
+      interval is the same along each of its chains (`weyl.chain_gcds`
+      refuses it otherwise).  A face's interior points are then the LS
+      paths with its elements as directions, and the count is
+      `weyl.first_direction_counts` summed.
+    """
+    chains = ps.maximal_chains()
+    steps = _product_steps([(c, lattices[c]) for c in chains])
+    if steps is not None:
+        scale = lcm(1, *(d for _, d in steps.values()))
+        coins = {p: ps.fdeg[p] * x * (scale // d) for p, (x, d) in steps.items()}
+        return _coin_chains(ps, coins, n * scale)
+    if any(f != 1 for f in ps.fdeg.values()) or not all(
+        is_cut_lattice(ps, c, lattices[c]) for c in chains
+    ):
+        return None
+    try:
+        gcds = chain_gcds(ps)
+    except ValidationFailure:
+        return None
+    return sum(first_direction_counts(ps, gcds, n).values())
+
+
+def _product_steps(
+    chain_lattices: list[tuple[Chain, LatticeQ]]
+) -> dict[str, tuple[int, int]] | None:
+    """The step of each element, as a reduced (numerator, denominator) pair,
+    when every chain's lattice, on exactly the chain's coordinates, is the
+    product of one step per coordinate, and an element has the same step on
+    every chain; else None."""
+    steps: dict[str, tuple[int, int]] = {}
+    for chain, lat in chain_lattices:
+        if set(lat.coords) != set(chain) or len(lat.rows) != len(chain):
+            return None
+        for row in lat.rows:
+            entries = [(p, x) for p, x in zip(lat.coords, row) if x]
+            if len(entries) != 1:
+                return None
+            ((p, x),) = entries
+            g = gcd(x, lat.den)
+            step = (x // g, lat.den // g)
+            if steps.setdefault(p, step) != step:
+                return None
+    return steps
 
 
 def _euler_characteristic(ps: StratPoset) -> int:
@@ -314,27 +386,31 @@ def _euler_characteristic(ps: StratPoset) -> int:
 
 def sr_hilbert(ps: StratPoset, n: int) -> int:
     """Hilbert function of the bond-free degeneration: monomials with chain
-    support and weighted degree n (weights deg f_p).
-
-    One pass over the comparable pairs, bottom-up: A[p][d] counts the chains
-    with top p and positive exponents of degree d, and
-    A[p][d] = sum over w >= 1 of ([d = w f_p] + sum over q < p of
-    A[q][d - w f_p]), kept as A[p][d] = B[d - f_p] + A[p][d - f_p] with B the
-    empty chain plus the chains below p.
-    """
+    support and weighted degree n (weights deg f_p)."""
     if n < 0:
         raise SchemaError("sr_hilbert needs n >= 0")
-    if n == 0:
-        return 1
+    return 1 if n == 0 else _coin_chains(ps, ps.fdeg, n)
+
+
+def _coin_chains(ps: StratPoset, coins: dict[str, int], total: int) -> int:
+    """The nonempty chains with positive multiplicities k_p whose sum of
+    k_p * coins[p] is total > 0.
+
+    One pass over the comparable pairs, bottom-up: A[p][d] counts the chains
+    with top p and positive multiplicities of sum d, and
+    A[p][d] = sum over w >= 1 of ([d = w c_p] + sum over q < p of
+    A[q][d - w c_p]), kept as A[p][d] = B[d - c_p] + A[p][d - c_p] with B the
+    empty chain plus the chains below p.
+    """
     tops: dict[str, list[int]] = {}
     for p in ps.bottom_up():
-        under = [1] + [0] * n
+        under = [1] + [0] * total
         for q in ps.below(p):
             if q != p:
                 under = [a + b for a, b in zip(under, tops[q])]
-        f = ps.fdeg[p]
-        a = [0] * (n + 1)
-        for d in range(f, n + 1):
-            a[d] = under[d - f] + a[d - f]
+        c = coins[p]
+        a = [0] * (total + 1)
+        for d in range(c, total + 1):
+            a[d] = under[d - c] + a[d - c]
         tops[p] = a
-    return sum(a[n] for a in tops.values())
+    return sum(a[total] for a in tops.values())

@@ -265,6 +265,8 @@ _TOKEN = re.compile(
 
 def parse_laurent(text: str) -> LaurentPoly:
     """Parse sums of signed monomials like '3*a^2*b^-1 - x14 + 1/2'."""
+    if not isinstance(text, str):
+        raise SchemaError(f"expression must be a string, got {type(text).__name__}")
     pos = 0
     total: Terms = {}
     sign = 1
@@ -295,7 +297,12 @@ def parse_laurent(text: str) -> LaurentPoly:
         elif mt.group("coef"):
             if coef is not None:
                 raise SchemaError(f"two coefficients in one term: {text!r}")
-            coef = Fraction(mt.group("coef"))
+            try:
+                coef = Fraction(mt.group("coef"))
+            except ZeroDivisionError:
+                raise SchemaError(
+                    f"zero denominator in coefficient {mt.group('coef')!r} of {text!r}"
+                ) from None
             pending = True
         elif mt.group("var"):
             v = mt.group("var")

@@ -243,7 +243,7 @@ def subduction(
             raise StratvalError(
                 f"representative product has leaf {res_m.value}, expected {a}"
             )
-        lam = res_f.lc / res_m.lc
+        lam = res_f.own_lc / res_m.own_lc
         result.terms.append((lam, mono))
         current = current - rep_poly.scale(lam)
     raise StratvalError(

@@ -39,6 +39,9 @@ class ValResult:
     D: list[Fraction]                  # per-level entries, top-down
     nus: list[int]                     # raw divisor orders
     lc: Fraction                       # iterated leading coefficient
+    # the lowest coefficient of g's own factor, the one with exponent the
+    # bond product B, so that lc holds its B-th power
+    own_lc: Fraction
 
 
 def _product_variables(factors: Factors) -> set[str]:
@@ -57,25 +60,30 @@ def _product_variables(factors: Factors) -> set[str]:
     return out
 
 
-def _cone_order_and_constant(factors: Factors, var: str) -> tuple[int, Fraction]:
-    """The order of the product along var and the product of the lowest
-    parts raised to their exponents, which must be a constant: each part a
-    single term, and the monomials of those terms cancelling."""
+def _cone_order_and_constant(
+    factors: Factors, var: str
+) -> tuple[int, Fraction, Fraction]:
+    """The order of the product along var, the product of the lowest parts
+    raised to their exponents, which must be a constant (each part a single
+    term, and the monomials of those terms cancelling), and the coefficient
+    of the first factor's lowest part."""
     nu = 0
     lc = Fraction(1)
     mono: dict[str, int] = {}
+    coefficients = []
     for h, e in factors:
         order, low = h.order_and_lowest_part(var)
         nu += e * order
         if len(low.terms) != 1:
             raise ChartError("fraction is not constant")
         ((m, c),) = low.terms.items()
+        coefficients.append(c)
         lc *= c**e
         for v, x in m:
             mono[v] = mono.get(v, 0) + e * x
     if any(mono.values()):
         raise ChartError("fraction is not constant")
-    return nu, lc
+    return nu, lc, coefficients[0]
 
 
 def sequence_of_functions(
@@ -119,12 +127,12 @@ def sequence_of_functions(
             f"restriction left extra variables {sorted(leftover)}; "
             "the chart cannot evaluate this function"
         )
-    nu0, lc = _cone_order_and_constant(factors, chart.cone_var)
+    nu0, lc, own_lc = _cone_order_and_constant(factors, chart.cone_var)
     denom *= bonds[-1]
     nus.append(nu0)
     D.append(Fraction(nu0, denom))
     value = AVector({p: D[i] for i, p in enumerate(chain)})
-    return ValResult(value, chain, sequence, D, nus, lc)
+    return ValResult(value, chain, sequence, D, nus, lc, own_lc)
 
 
 def chain_valuation(g: LaurentPoly, chart: ChainChart, ps: StratPoset) -> ValResult:

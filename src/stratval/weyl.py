@@ -11,6 +11,8 @@ down to sigma may cut only at multiples of 1 / g(sigma, tau), the gcd of the
 bonds along a maximal chain of the Bruhat interval, read from a table built
 in one pass over the covers.  Paths keep integer cuts over the lcm of the
 bonds until they are handed out, and each is validated against that table.
+`path_count` runs the same walk with the counts of its states summed
+instead of its paths listed.
 
 The Freudenthal character recursion lives here as well, run over the
 dominant weights only and deliberately sharing no code with the path
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import accumulate
+from math import gcd, lcm, prod
 
 from stratval.avector import AVector
 from stratval.errors import BoundError, SchemaError, StratvalError, ValidationFailure
@@ -406,17 +409,42 @@ def chain_gcds(poset: StratPoset) -> dict[str, dict[str, int]]:
     the bonds along a maximal chain of the interval [sigma, tau].
 
     One bottom-up pass over the covers: g(sigma, tau) = gcd(b(tau, tau'),
-    g(sigma, tau')) through the first listed cover tau' of tau above sigma."""
+    g(sigma, tau')) through every cover tau' of tau above sigma.  When two
+    covers disagree the gcd depends on the chain, and the table is refused;
+    on a Bruhat interval they always agree."""
     gcds: dict[str, dict[str, int]] = {}
     for tau in poset.bottom_up():
         row: dict[str, int] = {}
         for low, b in poset.covers_of[tau]:
-            row.setdefault(low, b)
-            for sigma, g in gcds[low].items():
-                if sigma not in row:
-                    row[sigma] = gcd(b, g)
+            for sigma, g in ((low, b), *gcds[low].items()):
+                g = gcd(b, g)
+                if row.setdefault(sigma, g) != g:
+                    raise ValidationFailure(
+                        f"the bond gcd from {sigma} up to {tau} is "
+                        f"{row[sigma]} or {g}, depending on the chain"
+                    )
         gcds[tau] = row
     return gcds
+
+
+def is_cut_lattice(poset: StratPoset, chain: Chain, lattice: LatticeQ) -> bool:
+    """Whether the lattice equals lattice_LC_lambda(poset, chain), read off
+    its Hermite rows without building the cut lattice: on the chain's
+    coordinates, each row h / den has its partial sums down the chain
+    integral once scaled by the bond below them (the last one integral),
+    and the covolumes prod(pivots) / den^(r+1) and 1 / prod(bonds) agree."""
+    if lattice.coords != tuple(chain) or len(lattice.rows) != len(chain):
+        return False
+    bonds_list = [poset.bond.get(e) for e in zip(chain, chain[1:])]
+    if None in bonds_list:
+        return False
+    den = lattice.den
+    for row in lattice.rows:
+        partials = list(accumulate(row))
+        if partials[-1] % den or any(b * s % den for b, s in zip(bonds_list, partials)):
+            return False
+    pivots = prod(next(x for x in row if x) for row in lattice.rows)
+    return pivots * prod(bonds_list) == den ** len(chain)
 
 
 def validate_ls(
@@ -512,6 +540,57 @@ def enumerate_ls(
         )
     fractions = {c: Fraction(c, den) for c in {c for _, cs in paths for c in cs}}
     return [LSPath(d, tuple([fractions[c] for c in cs])) for d, cs in paths]
+
+
+def first_direction_counts(
+    poset: StratPoset, gcds: dict[str, dict[str, int]], m: int
+) -> dict[str, int]:
+    """For each tau, the number of LS paths of degree m > 0 with first
+    direction tau: the walk of `enumerate_ls` over (element, integer cut)
+    states with the counts of its paths summed instead of the paths listed.
+
+    N[tau][k], the number of ways a path at direction tau with cut k over
+    the lcm L of the bonds can go on, is 1 (it ends at mL) plus, for each
+    sigma < tau, the sum of N[sigma][c] over the multiples c of
+    L / g(sigma, tau) in (k, mL).  Bottom-up, the sigmas of one step are
+    added up first, and one suffix sum over the multiples of that step
+    serves every k; the count of tau is N[tau][0]."""
+    den = lcm(1, *poset.bond.values())
+    top = m * den
+    ways: dict[str, list[int]] = {}
+    for tau in poset.bottom_up():
+        by_step: dict[int, list[int]] = {}
+        for sigma, g in gcds[tau].items():
+            step = den // g
+            at = ways[sigma][step::step]   # at the cuts step, 2 step, ... < top
+            acc = by_step.get(step)
+            by_step[step] = at if acc is None else [a + b for a, b in zip(acc, at)]
+        row = [1] * top
+        for step, at in by_step.items():
+            # the cuts above k are the multiples from (k // step + 1) step on
+            suffix = list(accumulate(reversed(at)))[::-1] + [0]
+            row = [x + suffix[k // step] for k, x in enumerate(row)]
+        ways[tau] = row
+    return {tau: row[0] for tau, row in ways.items()}
+
+
+def path_count(
+    rs: RootSystem, lam: Weight, m: int, tau: str | None = None,
+    group: WeylGroup | None = None, poset: StratPoset | None = None,
+) -> int:
+    """The number of LS paths of the given shape and degree, listing none;
+    with tau, only the paths whose first direction is at most tau in Bruhat
+    order."""
+    _check_regular_dominant(lam, rs.rank)
+    if m < 0:
+        raise SchemaError("degree must be nonnegative")
+    if poset is None:
+        poset = bonds(rs, lam, group or weyl_group(rs))
+    firsts = poset.ids if tau is None else poset.below(tau or "e")
+    if m == 0:  # the one path of degree zero
+        return 1
+    counts = first_direction_counts(poset, chain_gcds(poset), m)
+    return sum(counts[t] for t in firsts)
 
 
 # ------------------------------------------------------- character oracle ----

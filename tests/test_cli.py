@@ -115,6 +115,16 @@ def test_valuate_zero_function_fails(capsys):
     assert code == 1
 
 
+def test_zero_denominator_in_a_coefficient_is_a_schema_error(capsys):
+    code = main(["valuate", "-w", bundled("gr24"), "--poly", "1/0*x14"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "schema error: zero denominator in coefficient '1/0' of '1/0*x14'\n"
+    )
+
+
 def test_subduct(capsys):
     code, out = run(capsys, "subduct", "-w", bundled("gr24"), "--poly", "x14*x23")
     assert code == 0
@@ -283,6 +293,14 @@ WRONG_SHAPES = {
     "chart-not-an-object": ("charts/chain_14.json", "valuate", lambda doc: [doc]),
     "chart-f_exprs-not-an-object": (
         "charts/chain_14.json", "valuate", lambda doc: {**doc, "f_exprs": ["x"]},
+    ),
+    "chart-f_exprs-entry-an-empty-list": (
+        "charts/chain_14.json", "valuate",
+        lambda doc: {**doc, "f_exprs": {**doc["f_exprs"], "14": []}},
+    ),
+    "chart-f_exprs-entry-a-list": (
+        "charts/chain_14.json", "valuate",
+        lambda doc: {**doc, "f_exprs": {**doc["f_exprs"], "14": ["x14"]}},
     ),
     "chart-ambient_map-not-an-object": (
         "charts/chain_14.json", "valuate", lambda doc: {**doc, "ambient_map": "a"},

@@ -1,11 +1,13 @@
 """Face and cover sums against their chain-list oracles.
 
-`hilbert_incl_excl` is one sum over the faces of the order complex, each
-face counted from its fundamental parallelepiped; `sr_hilbert` and the
-Euler characteristic are passes over the comparable pairs, and the Schubert
-and Hodge degrees are one pass over the covers.  `chain_oracles` keeps the
-inclusion-exclusion over sets of maximal chains with its composition walk,
-the sums over listed faces and the sums over listed chains they must equal.
+`face_sum` is one sum over the faces of the order complex, each face
+counted from its fundamental parallelepiped; `hilbert_incl_excl` takes it,
+or one pass over the comparable pairs (`pair_count`) on product and cut
+lattices.  `sr_hilbert` and the Euler characteristic are passes over the
+comparable pairs, and the Schubert and Hodge degrees are one pass over the
+covers.  `chain_oracles` keeps the inclusion-exclusion over sets of maximal
+chains with its composition walk, the sums over listed faces and the sums
+over listed chains they must equal.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from stratval.errors import ValidationFailure
 from stratval.geometry import (
     count_face_points,
     default_lattices,
+    face_sum,
     hilbert_incl_excl,
     hodge_degree,
+    pair_count,
     sr_hilbert,
 )
 from stratval.monoids import LatticeQ
@@ -35,6 +39,7 @@ from stratval.poset import StratPoset, generic_model
 from stratval.weyl import (
     RootSystem,
     bonds,
+    chain_gcds,
     lattice_LC_lambda,
     schubert_degree,
     weyl_dim,
@@ -95,6 +100,16 @@ def bonded_lattices(draw):
     return ps, lattices
 
 
+def assert_counts_match_chain_subsets(ps, lattices, degrees):
+    """The dispatcher and the face list itself each equal the
+    inclusion-exclusion over sets of maximal chains."""
+    for n in degrees:
+        want = hilbert_by_chain_subsets(ps, lattices, n)
+        assert hilbert_incl_excl(ps, lattices, n) == want
+        if n:
+            assert face_sum(ps, lattices, n) == want
+
+
 def bond_sums(ps: StratPoset) -> dict:
     """The cover pass `weyl.schubert_degree` reads, on any bonded poset."""
     return ps.chain_sums(lambda p, q: ps.bond[(p, q)], lambda q: 1)
@@ -119,13 +134,36 @@ def test_face_and_cover_sums_match_chain_oracles(ps, cut_lattices):
     else:
         lattices = default_lattices(ps)
     if len(chains) <= 6:
-        for n in range(4):
-            assert hilbert_incl_excl(ps, lattices, n) == hilbert_by_chain_subsets(
-                ps, lattices, n
-            )
+        assert_counts_match_chain_subsets(ps, lattices, range(4))
     assert bond_sums(ps) == {p: bond_product_sum(ps, p) for p in ps.ids}
     hodge = hodge_copy(ps)
     assert hodge_degree(hodge) == hodge_degree_by_chains(hodge)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_posets())
+def test_cut_lattices_of_degree_one_posets_count_as_the_face_list(ps):
+    """With every degree one, the cut lattices are counted by a pass over
+    pairs exactly when every interval has one bond gcd, and that count
+    equals the face list."""
+    ps = StratPoset(
+        [(p, p) for p in ps.ids],
+        [(u, l, b) for (u, l), b in ps.bond.items()],
+        {p: 1 for p in ps.ids},
+    )
+    lattices = {c: lattice_LC_lambda(ps, c) for c in ps.maximal_chains()}
+    try:
+        chain_gcds(ps)
+        one_gcd = True
+    except ValidationFailure:
+        one_gcd = False
+    for n in range(1, 4):
+        count = pair_count(ps, lattices, n)
+        assert (count is not None) == one_gcd
+        if one_gcd:
+            assert count == face_sum(ps, lattices, n)
+    if len(ps.maximal_chains()) <= 6:
+        assert_counts_match_chain_subsets(ps, lattices, range(4))
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,11 +176,9 @@ def test_parallelepiped_counts_match_the_composition_walk(case):
     chains = ps.maximal_chains()
     faces = ps.faces_with_last_chain()
     first = lattices[chains[0]]
+    if len(chains) <= 6:
+        assert_counts_match_chain_subsets(ps, lattices, range(5))
     for n in range(5):
-        if len(chains) <= 6:
-            assert hilbert_incl_excl(ps, lattices, n) == hilbert_by_chain_subsets(
-                ps, lattices, n
-            )
         for face in faces:
             assert count_face_points(ps, face, first, n) == count_lattice_points(
                 ps, face, first, n, 0
@@ -179,24 +215,33 @@ def test_a3_cut_lattices_count_the_weyl_dimension(lam):
     assert [hilbert_incl_excl(ps, lattices, n) for n in range(4)] == want
 
 
+# the bond lattices whose running bond products depend on the chain, with
+# their face-list counts for n <= 5
+FACE_LIST_SETS = {
+    "sl3b": [1, 10, 37, 92, 185, 326],
+    "elliptic2": [1, 4, 7, 10, 13, 16],
+}
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_face_sum_matches_chain_subsets_on_bundled_sets(name):
+    """The bond lattices of every bundled set but sl3b and elliptic2 are
+    product lattices, counted by the pass over pairs."""
     ps = load_workspace(bundled(name)).ps
     lattices = default_lattices(ps)
-    for n in range(5):
-        assert hilbert_incl_excl(ps, lattices, n) == hilbert_by_chain_subsets(
-            ps, lattices, n
-        )
+    assert (pair_count(ps, lattices, 1) is None) == (name in FACE_LIST_SETS)
+    assert_counts_match_chain_subsets(ps, lattices, range(5))
+    if name in FACE_LIST_SETS:
+        got = [hilbert_incl_excl(ps, lattices, n) for n in range(6)]
+        assert got == FACE_LIST_SETS[name]
 
 
 @pytest.mark.parametrize("s,r", [(s, r) for s in range(3, 8) for r in (2, 3)])
 def test_face_sum_matches_chain_subsets_on_generic_models(s, r):
     ps = generic_model(s, r)
     lattices = default_lattices(ps)
-    for n in range(5):
-        assert hilbert_incl_excl(ps, lattices, n) == hilbert_by_chain_subsets(
-            ps, lattices, n
-        )
+    assert pair_count(ps, lattices, 1) is not None
+    assert_counts_match_chain_subsets(ps, lattices, range(5))
 
 
 @pytest.mark.parametrize("type_name", ["A2", "B2"])
@@ -204,10 +249,15 @@ def test_face_sum_matches_chain_subsets_on_cut_lattices(type_name):
     rs = RootSystem.from_type(type_name)
     ps = bonds(rs, (1, 1), weyl_group(rs))
     lattices = {c: lattice_LC_lambda(ps, c) for c in ps.maximal_chains()}
-    for n in range(4):
-        assert hilbert_incl_excl(ps, lattices, n) == hilbert_by_chain_subsets(
-            ps, lattices, n
-        )
+    assert pair_count(ps, lattices, 1) is not None
+    assert_counts_match_chain_subsets(ps, lattices, range(4))
+
+
+CROWN = StratPoset(
+    [(p, p) for p in ("t1", "t2", "x", "y")],
+    [("t1", "x", 1), ("t1", "y", 2), ("t2", "x", 3), ("t2", "y", 1)],
+    {p: 1 for p in ("t1", "t2", "x", "y")},
+)
 
 
 def test_euler_characteristic_at_degree_zero():
@@ -217,15 +267,48 @@ def test_euler_characteristic_at_degree_zero():
         [("a1", "a0", 1), ("b1", "b0", 2)],
         {"a1": 1, "a0": 1, "b1": 1, "b0": 1},
     )
-    crown = StratPoset(
-        [(p, p) for p in ("t1", "t2", "x", "y")],
-        [("t1", "x", 1), ("t1", "y", 2), ("t2", "x", 3), ("t2", "y", 1)],
-        {p: 1 for p in ("t1", "t2", "x", "y")},
-    )
-    for ps, chi in ((one_top, 1), (two_chains, 2), (crown, 0)):
+    for ps, chi in ((one_top, 1), (two_chains, 2), (CROWN, 0)):
         lattices = default_lattices(ps)
         assert hilbert_incl_excl(ps, lattices, 0) == chi
         assert hilbert_by_chain_subsets(ps, lattices, 0) == chi
+
+
+@pytest.mark.parametrize(
+    "type_name,lam", [("A2", (2, 1)), ("G2", (1, 1)), ("A3", (1, 1, 1))],
+)
+def test_cut_lattices_count_ls_paths_as_the_face_list_does(type_name, lam):
+    """Too many chains for the chain-subset oracle: the pass over pairs
+    against the face list and the Weyl dimension."""
+    rs = RootSystem.from_type(type_name)
+    ps = bonds(rs, lam, weyl_group(rs))
+    lattices = {c: lattice_LC_lambda(ps, c) for c in ps.maximal_chains()}
+    for n in range(1, 3):
+        want = weyl_dim(rs, tuple(n * x for x in lam))
+        assert pair_count(ps, lattices, n) == face_sum(ps, lattices, n) == want
+
+
+def test_crown_takes_the_face_list():
+    lattices = default_lattices(CROWN)
+    assert pair_count(CROWN, lattices, 1) is None
+    got = [hilbert_incl_excl(CROWN, lattices, n) for n in range(5)]
+    assert got == [0, 7, 14, 21, 28]
+    assert_counts_match_chain_subsets(CROWN, lattices, range(4))
+
+
+def test_chain_dependent_interval_gcd_takes_the_face_list():
+    """Through a the bonds from t down to s are 2, 2 and through b they are
+    2, 1: the interval [s, t] has no one gcd, so the cut lattices are not
+    counted as LS paths."""
+    ps = StratPoset(
+        [(p, p) for p in ("t", "a", "b", "s")],
+        [("t", "a", 2), ("t", "b", 2), ("a", "s", 2), ("b", "s", 1)],
+        {p: 1 for p in ("t", "a", "b", "s")},
+    )
+    with pytest.raises(ValidationFailure, match="bond gcd from s up to t is 2 or 1"):
+        chain_gcds(ps)
+    lattices = {c: lattice_LC_lambda(ps, c) for c in ps.maximal_chains()}
+    assert pair_count(ps, lattices, 1) is None
+    assert_counts_match_chain_subsets(ps, lattices, range(5))
 
 
 @pytest.mark.parametrize("type_name", ["A2", "B2", "G2", "A3"])

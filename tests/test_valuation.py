@@ -526,3 +526,24 @@ def test_rees_min_keeps_the_order_limit_message():
         for rees in (rees_min, rees_min_by_scan):
             refusal = rees_min_or_refusal(rees, parse_laurent(text), "X1", ws)
             assert type(refusal) is ChartError and str(refusal) == message, text
+
+
+@pytest.mark.parametrize("name", EXACT_SETS + ["elliptic1", "elliptic2"])
+def test_own_leading_coefficient_scales_with_the_function(name):
+    """For h the product of the ambient variables, own_lc of c*h over own_lc
+    of h is c on every chain, while lc, its power by the chain's bond
+    product B, gives c**B: B is 2 or 3 on chains of sl3b, elliptic1 and
+    elliptic2."""
+    ws = workspace(name)
+    for chain, chart in sorted(ws.atlas.items()):
+        h = LaurentPoly.const(1)
+        for v in sorted(chart.ambient_map):
+            h = h * LaurentPoly.var(v)
+        base = chain_valuation(h, chart, ws.ps)
+        bond_product = 1
+        for b in ws.ps.chain_bonds(chain)[:-1]:
+            bond_product *= b
+        for c in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 3)):
+            scaled = chain_valuation(h.scale(c), chart, ws.ps)
+            assert scaled.own_lc / base.own_lc == c
+            assert scaled.lc / base.lc == c**bond_product

@@ -23,9 +23,11 @@ from stratval.weyl import (
     character_check,
     enumerate_ls,
     freudenthal_character,
+    is_cut_lattice,
     lattice_LC_lambda,
     ls_lattice_points,
     nu,
+    path_count,
     schubert_degree,
     validate_ls,
     weight,
@@ -366,6 +368,26 @@ def test_schubert_degree_matches_volume_pipeline(a2):
     assert factorial(r) * total == schubert_degree(rs, (1, 1), "121", group, ps)
 
 
+def test_cut_lattices_are_recognized_in_any_representation():
+    """is_cut_lattice holds for the cut lattice over any denominator, and
+    fails for its sublattice, its superlattice and other coordinates; the
+    bond lattice is the cut lattice only on a chain whose bonds are all 1."""
+    from stratval.monoids import LatticeQ, lattice_LC
+
+    rs = RootSystem.from_type("B2")
+    ps = bonds(rs, (1, 1), weyl_group(rs))
+    for chain in ps.maximal_chains():
+        cut = lattice_LC_lambda(ps, chain)
+        tripled = [[3 * x for x in row] for row in cut.rows]
+        assert is_cut_lattice(ps, chain, cut)
+        assert is_cut_lattice(ps, chain, LatticeQ(chain, tripled, 3 * cut.den))
+        assert not is_cut_lattice(ps, chain, LatticeQ(chain, tripled, cut.den))
+        assert not is_cut_lattice(ps, chain, LatticeQ(chain, cut.rows, 2 * cut.den))
+        assert not is_cut_lattice(ps, chain[::-1], cut)
+        all_one = all(ps.bond[e] == 1 for e in zip(chain, chain[1:]))
+        assert is_cut_lattice(ps, chain, lattice_LC(ps, chain)) == all_one
+
+
 def test_per_chain_volume_is_bond_product(a2):
     from math import factorial
 
@@ -593,3 +615,47 @@ def test_integer_paths_agree_with_the_fraction_model(type_name):
 def test_dominant_freudenthal_equals_the_recursion_over_every_weight(type_name, lam):
     rs = RootSystem.from_type(type_name)
     assert freudenthal_character(rs, lam) == freudenthal_by_levels(rs, lam)
+
+
+@lru_cache(maxsize=None)
+def _rho_setup(type_name):
+    rs = RootSystem.from_type(type_name)
+    group = weyl_group(rs)
+    lam = (1,) * rs.rank
+    return rs, lam, group, bonds(rs, lam, group)
+
+
+@pytest.mark.parametrize("type_name,degrees", [("A2", 3), ("B2", 3), ("A3", 2)])
+def test_path_count_counts_the_paths_below_each_tau(type_name, degrees):
+    """path_count(tau) is the number of listed paths whose first direction
+    is at most tau; with no tau it counts them all."""
+    rs, lam, group, ps = _rho_setup(type_name)
+    for m in range(1, degrees + 1):
+        paths = enumerate_ls(rs, lam, m, group=group, poset=ps)
+        assert path_count(rs, lam, m, group=group, poset=ps) == len(paths)
+        for tau in ps.ids:
+            want = sum(1 for p in paths if ps.leq(p.dirs[0], tau))
+            assert path_count(rs, lam, m, tau, group=group, poset=ps) == want
+
+
+@pytest.mark.parametrize("type_name", ["B3", "C3"])
+def test_path_count_is_the_weyl_dimension(type_name):
+    rs, lam, group, ps = _rho_setup(type_name)
+    for m in range(5):
+        want = weyl_dim(rs, tuple(m * x for x in lam))
+        assert path_count(rs, lam, m, poset=ps) == want
+    assert path_count(rs, lam, 4, poset=ps) == 5**9
+
+
+def test_path_count_refusals_and_degree_zero():
+    rs, lam, group, ps = _rho_setup("A2")
+    assert path_count(rs, lam, 0, poset=ps) == 1
+    assert path_count(rs, lam, 0, "12", poset=ps) == 1
+    assert path_count(rs, lam, 2, "", poset=ps) == 1
+    assert path_count(rs, lam, 2, "e", poset=ps) == 1
+    with pytest.raises(SchemaError, match="nonnegative"):
+        path_count(rs, lam, -1, poset=ps)
+    with pytest.raises(SchemaError, match="unknown id"):
+        path_count(rs, lam, 1, "33", poset=ps)
+    with pytest.raises(ValidationFailure, match="regular dominant"):
+        path_count(rs, (1, 0), 1)
