@@ -12,7 +12,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from stratval.errors import ChartError, SchemaError, json_int, json_object, read_json
+from stratval.errors import (
+    ChartError, SchemaError, json_int, json_object, json_str, read_json,
+)
 from stratval.laurent import LaurentPoly, Terms, parse_laurent
 from stratval.poset import Chain, StratPoset
 
@@ -142,9 +144,9 @@ class ChainChart:
         try:
             limits = json_object(doc).get("order_limits")
             return ChainChart(
-                chain=tuple(doc["chain"]),
-                divisor_vars=list(doc["divisor_vars"]),
-                extra_vars=list(doc["extra_vars"]),
+                chain=tuple(map(json_str, doc["chain"])),
+                divisor_vars=list(map(json_str, doc["divisor_vars"])),
+                extra_vars=list(map(json_str, doc["extra_vars"])),
                 f_exprs={
                     k: parse_laurent(v) for k, v in json_object(doc["f_exprs"]).items()
                 },

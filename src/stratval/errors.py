@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all modules, and the file reader and
-integer and object checks the JSON loaders share.
+integer, string and object checks the JSON loaders share.
 
 The CLI maps these onto exit codes: ValidationFailure -> 1,
 SchemaError -> 2, BoundError -> 3.
@@ -35,6 +35,14 @@ def json_int(value) -> int:
     true and "2"; raises TypeError, which each loader reports as a SchemaError."""
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_str(value) -> str:
+    """`value` if it is a JSON string; raises TypeError, which each loader
+    reports as a SchemaError, where an object would later fail as a key."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {value!r}")
     return value
 
 

@@ -264,7 +264,6 @@ def hilbert_incl_excl(
     lattices: dict[Chain, LatticeQ],
     n: int,
     fan: MonoidFan | None = None,
-    saturation_bound: int = 8,
 ) -> int:
     """Lattice points of degree n in the fan, one sum over the faces F of
     the order complex (`face_sum`).
@@ -276,15 +275,15 @@ def hilbert_incl_excl(
     (-1)^(|F|+1), by one pass over the comparable pairs.
 
     Valid for normal (saturated) stratifications only; when a fan is supplied
-    its chains are certified up to the bound first and the call refuses on a
-    witness of non-saturation.
+    its chains are certified up to `is_saturated`'s default degree bound
+    first and the call refuses on a witness of non-saturation.
     """
     if n < 0:
         raise SchemaError("hilbert_incl_excl needs n >= 0")
     _require_lattices(ps, lattices)
     if fan is not None:
         for chain in fan.chains():
-            rep = is_saturated(fan, chain, saturation_bound)
+            rep = is_saturated(fan, chain)
             if not rep.saturated:
                 raise ValidationFailure(
                     f"chain {'>'.join(chain)} is not saturated "

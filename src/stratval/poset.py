@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from stratval.avector import TotalOrder
-from stratval.errors import SchemaError, ValidationFailure, json_int, read_json
+from stratval.errors import SchemaError, ValidationFailure, json_int, json_str, read_json
 
 Chain = tuple[str, ...]  # ids, strictly decreasing top-down
 
@@ -299,11 +299,12 @@ class StratPoset:
     def from_json(doc: dict) -> "StratPoset":
         try:
             elements = [
-                (e["id"], e.get("label", e["id"])) for e in doc["elements"]
+                (json_str(e["id"]), e.get("label", e["id"])) for e in doc["elements"]
             ]
             fdeg = {e["id"]: json_int(e["fdeg"]) for e in doc["elements"]}
             covers = [
-                (c["upper"], c["lower"], json_int(c["bond"])) for c in doc["covers"]
+                (json_str(c["upper"]), json_str(c["lower"]), json_int(c["bond"]))
+                for c in doc["covers"]
             ]
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad stratification document: {e}") from None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from stratval.errors import BoundError, SchemaError, json_int, read_json
+from stratval.errors import BoundError, SchemaError, json_int, json_str, read_json
 from stratval.laurent import LaurentPoly, Monomial, _mono_mul, parse_laurent
 
 SLICE_GUARD = 50_000
@@ -27,10 +27,10 @@ class GradedQuotient:
         for rel in relations:
             if rel.is_zero():
                 continue
+            self._check_vars(rel)
             degs = set(rel.weighted_degree_parts(self.degree))
             if len(degs) != 1:
                 raise SchemaError(f"relation {rel} is not homogeneous")
-            self._check_vars(rel)
             self.relations.append((rel, degs.pop()))
         self._basis_cache: dict[int, list[Monomial]] = {}
         self._reduced_cache: dict[int, tuple] = {}
@@ -149,7 +149,9 @@ class GradedQuotient:
     @staticmethod
     def from_json(doc: dict) -> "GradedQuotient":
         try:
-            variables = [(v["name"], json_int(v["degree"])) for v in doc["vars"]]
+            variables = [
+                (json_str(v["name"]), json_int(v["degree"])) for v in doc["vars"]
+            ]
             relations = [parse_laurent(r) for r in doc.get("relations", [])]
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad ring document: {e}") from None

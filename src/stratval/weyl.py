@@ -1,16 +1,18 @@
 """Root systems, Weyl groups, Pieri-Chevalley bonds and the LS-path model.
 
-Matrices act on weights written in the fundamental-weight basis, and each
-positive root carries its coroot from the closure of the simple roots, so
-every pairing against a coroot is exact integer arithmetic.  The flag-variety
-stratification has the Weyl group with Bruhat order as its poset, degrees
-all one, and the bond on a cover pair sigma over tau with tau = s_beta sigma
-equal to the pairing of tau(lambda) with the coroot of beta.  LS-paths are
-enumerated by a depth-first walk over (element, cut) states: a step from tau
-down to sigma may cut only at multiples of 1 / g(sigma, tau), the gcd of the
-bonds along a maximal chain of the Bruhat interval, read from a table built
-in one pass over the covers.  Paths keep integer cuts over the lcm of the
-bonds until they are handed out, and each is validated against that table.
+Weights are written in the fundamental-weight basis and each positive root
+carries its coroot from the closure of the simple roots, so every coroot
+pairing, and so every reflection, is exact integer arithmetic.  A Weyl
+element is its lex-smallest reduced word with its image of the regular
+weight rho, which determines it.  The flag-variety stratification has the
+Weyl group with Bruhat order as its poset, degrees all one, and the bond on
+a cover pair sigma over tau with tau = s_beta sigma equal to the pairing of
+tau(lambda) with the coroot of beta.  LS-paths are enumerated by a
+depth-first walk over (element, cut) states: a step from tau down to sigma
+may cut only at multiples of 1 / g(sigma, tau), the gcd of the bonds along
+a maximal chain of the Bruhat interval, read from a table built in one pass
+over the covers.  Paths keep integer cuts over the lcm of the bonds until
+they are handed out, and each is validated against that table.
 `path_count` runs the same walk with the counts of its states summed
 instead of its paths listed.
 
@@ -21,7 +23,7 @@ enumeration: it is the oracle the path model is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm, prod
@@ -31,7 +33,6 @@ from stratval.errors import BoundError, SchemaError, StratvalError, ValidationFa
 from stratval.monoids import LatticeQ
 from stratval.poset import Chain, StratPoset
 
-Matrix = tuple[tuple[int, ...], ...]
 Weight = tuple[int, ...]
 
 CARTAN_BOUND = 10_000
@@ -103,8 +104,14 @@ class RootSystem:
         self.cartan = [list(r) for r in cartan]
         self.rank = n
         self.sym = self._symmetrizer()
+        self.simple_roots = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         self.coroots = self._generate_positive_roots()
         self.positive_roots = sorted(self.coroots)
+        # alpha_j = sum_i a_ij omega_i, so beta has omega-coordinates A beta
+        self.roots_in_omega = {
+            b: tuple(sum(a * x for a, x in zip(row, b)) for row in self.cartan)
+            for b in self.positive_roots
+        }
 
     @staticmethod
     def from_type(type_name: str) -> "RootSystem":
@@ -137,9 +144,8 @@ class RootSystem:
         s_i beta = beta - <beta, a_i^vee> a_i and s_i beta^vee = beta^vee -
         <a_i, beta^vee> a_i^vee.  Returns the positive roots' coroots."""
         n, a = self.rank, self.cartan
-        simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        coroots = dict(zip(simples, simples))
-        frontier = simples
+        coroots = dict(zip(self.simple_roots, self.simple_roots))
+        frontier = self.simple_roots
         while frontier:
             nxt = []
             for beta in frontier:
@@ -164,95 +170,77 @@ class RootSystem:
         """<lambda, beta^vee> for a weight in the omega-basis."""
         return sum(l * c for l, c in zip(lam, self.coroots[beta]))
 
-    def root_in_omega(self, beta: tuple[int, ...]) -> Weight:
-        return tuple(
-            sum(self.cartan[i][j] * beta[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
-
-    def reflection_matrix(self, beta: tuple[int, ...]) -> Matrix:
-        """s_beta acting on the omega-basis: I - beta_omega beta^vee^T, since
-        <omega_j, beta^vee> is the j-th coroot coordinate."""
-        coroot = self.coroots[beta]
-        return tuple(
-            tuple(int(k == j) - bk * cj for j, cj in enumerate(coroot))
-            for k, bk in enumerate(self.root_in_omega(beta))
-        )
-
-
-def _mat_mul_int(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    def reflect(self, mu, beta: tuple[int, ...]) -> Weight:
+        """s_beta mu = mu - <mu, beta^vee> beta for a weight in the omega-basis
+        and a positive root beta."""
+        c = self.coroot_pairing(mu, beta)
+        return tuple(m - c * b for m, b in zip(mu, self.roots_in_omega[beta]))
 
 
 @dataclass(frozen=True)
 class WeylElt:
-    matrix: Matrix
+    rho: Weight      # w(rho), which determines w since rho is regular
     length: int
     word: str        # lex-smallest reduced word, '' for the identity
+    rs: RootSystem = field(repr=False, compare=False)
 
     @property
     def id(self) -> str:
         return self.word or "e"
 
-    def act(self, lam) -> tuple:
-        return tuple(
-            sum(self.matrix[i][j] * lam[j] for j in range(len(lam)))
-            for i in range(len(lam))
-        )
+    def act(self, lam) -> Weight:
+        """w(lam): the word's simple reflections applied right to left."""
+        for letter in reversed(self.word):
+            lam = self.rs.reflect(lam, self.rs.simple_roots[int(letter) - 1])
+        return tuple(lam)
 
 
 @dataclass
 class WeylGroup:
     rs: RootSystem
-    elements: list[WeylElt]
+    elements: list[WeylElt]   # by length, then word
     by_id: dict[str, WeylElt]
-    by_matrix: dict[Matrix, WeylElt]
     covers: list[tuple[str, str, tuple[int, ...]]]   # (upper, lower, root beta)
 
     @property
     def w0(self) -> WeylElt:
-        return max(self.elements, key=lambda w: w.length)
+        return self.elements[-1]
 
 
 def weyl_group(rs: RootSystem, bound: int = CARTAN_BOUND) -> WeylGroup:
-    """BFS over simple reflections; lengths are BFS distances, words are the
-    lexicographically smallest reduced expressions."""
+    """BFS over the orbit of rho, multiplying by s_i on the left: lengths
+    are BFS distances.  With the letters i in increasing order outside and
+    each level in word order inside, the first word found for an element,
+    i followed by the word of s_i w, is its lex-smallest reduced word, and
+    each level is found in word order.  The cover upper = s_beta lower is
+    read off the image s_beta(lower(rho))."""
     n = rs.rank
-    identity: Matrix = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    simple = [rs.reflection_matrix(tuple(int(t == i) for t in range(n)))
-              for i in range(n)]
-    elements = {identity: WeylElt(identity, 0, "")}
+    if n > 9:
+        raise BoundError(f"Weyl group of rank {n} refused: ids are words of digits 1-9")
+    identity = WeylElt((1,) * n, 0, "", rs)
+    by_rho = {identity.rho: identity}
     frontier = [identity]
     while frontier:
         nxt = []
-        for m in frontier:
-            w = elements[m]
-            for i in range(n):
-                prod = _mat_mul_int(m, simple[i])
-                if prod not in elements:
-                    elements[prod] = WeylElt(prod, w.length + 1, w.word + str(i + 1))
-                    nxt.append(prod)
-                    if len(elements) > bound:
+        for i, alpha in enumerate(rs.simple_roots):
+            for w in frontier:
+                mu = rs.reflect(w.rho, alpha)
+                if mu not in by_rho:
+                    by_rho[mu] = WeylElt(mu, w.length + 1, str(i + 1) + w.word, rs)
+                    nxt.append(by_rho[mu])
+                    if len(by_rho) > bound:
                         raise BoundError(f"Weyl group exceeds bound {bound}")
         frontier = nxt
-    elts = sorted(elements.values(), key=lambda w: (w.length, w.word))
-    by_id = {w.id: w for w in elts}
-    by_matrix = {w.matrix: w for w in elts}
-    refl = {rs.reflection_matrix(beta): beta for beta in rs.positive_roots}
+    elts = list(by_rho.values())
     covers = []
     for w in elts:
-        for smat, beta in refl.items():
-            upper = by_matrix[_mat_mul_int(smat, w.matrix)]
+        for beta in rs.positive_roots:
+            upper = by_rho[rs.reflect(w.rho, beta)]
             if upper.length == w.length + 1:
                 covers.append((upper.id, w.id, beta))
-    n_pos = len(rs.positive_roots)
-    if max(w.length for w in elts) != n_pos:
+    if elts[-1].length != len(rs.positive_roots):
         raise StratvalError("positive-root count does not match the longest element")
-    return WeylGroup(rs, elts, by_id, by_matrix, sorted(covers))
+    return WeylGroup(rs, elts, {w.id: w for w in elts}, sorted(covers))
 
 
 def _check_regular_dominant(lam: Weight, rank: int):
@@ -271,10 +259,10 @@ def bonds(rs: RootSystem, lam: Weight, group: WeylGroup | None = None) -> StratP
     _check_regular_dominant(lam, rs.rank)
     group = group or weyl_group(rs)
     elements = [(w.id, w.id) for w in group.elements]
+    images = {w.id: w.act(lam) for w in group.elements}
     covers = []
     for upper, lower, beta in group.covers:
-        tau = group.by_id[lower]
-        pairing = rs.coroot_pairing(tau.act(lam), beta)
+        pairing = rs.coroot_pairing(images[lower], beta)
         if pairing <= 0:
             raise StratvalError(f"bond on ({upper},{lower}) is {pairing}")
         covers.append((upper, lower, pairing))
@@ -616,12 +604,10 @@ def freudenthal_character(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     gram = [[d * x for x in row] for d, row in zip(sym, rs.cartan)]
     top = [d * (l + 1) for d, l in zip(sym, lam)]    # (lambda + rho, alpha_j)
     roots = [
-        (rs.root_in_omega(beta), beta, [b * d for b, d in zip(beta, sym)])
+        (rs.roots_in_omega[beta], beta, [b * d for b, d in zip(beta, sym)])
         for beta in rs.positive_roots
     ]
-    simple_omega = [
-        rs.root_in_omega(tuple(int(t == i) for t in range(n))) for i in range(n)
-    ]
+    simple_omega = [rs.roots_in_omega[alpha] for alpha in rs.simple_roots]
     kappas: dict[Weight, tuple[int, ...]] = {lam: (0,) * n}
     frontier = [lam]
     while frontier:

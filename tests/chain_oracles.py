@@ -30,8 +30,9 @@ minimum with the atlas sorted and scanned for each cover and its own
 restriction through the outer divisor variables, LS paths as
 the union of the cut-lattice points over every maximal chain, read back
 as paths, the LS integrality predicate checked on one maximal chain of
-each Bruhat interval found by BFS, and Freudenthal's recursion over
-every weight of the module rather than the dominant ones.
+each Bruhat interval found by BFS, Freudenthal's recursion over
+every weight of the module rather than the dominant ones, and the Weyl
+group as integer matrices found by multiplying reflection matrices.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from stratval.monoids import (
 from stratval.poset import Chain, StratPoset
 from stratval.ringmodel import GradedQuotient
 from stratval.weyl import (
+    CARTAN_BOUND,
     EMPTY_PATH,
     LSPath,
     RootSystem,
@@ -773,6 +775,64 @@ def validate_ls_by_bfs(
     return True
 
 
+Matrix = tuple[tuple[int, ...], ...]
+
+
+def reflection_matrix(rs: RootSystem, beta: tuple[int, ...]) -> Matrix:
+    """s_beta acting on the omega-basis: I - beta_omega beta^vee^T, since
+    <omega_j, beta^vee> is the j-th coroot coordinate."""
+    coroot = rs.coroots[beta]
+    return tuple(
+        tuple(int(k == j) - bk * cj for j, cj in enumerate(coroot))
+        for k, bk in enumerate(rs.roots_in_omega[beta])
+    )
+
+
+def _mat_mul_int(a: Matrix, b: Matrix) -> Matrix:
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def weyl_group_by_matrices(
+    rs: RootSystem, bound: int = CARTAN_BOUND,
+) -> tuple[list[tuple[str, int, Matrix]], list[tuple[str, str, tuple[int, ...]]]]:
+    """The Weyl group as integer matrices on the omega-basis, by BFS over
+    right multiplication by the simple reflections: (id, length, matrix) for
+    each element, by length and then lex-smallest reduced word, and the
+    sorted covers (upper, lower, beta) with upper = s_beta lower, found by
+    multiplying each element by the matrix of every positive root."""
+    n = rs.rank
+    identity: Matrix = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    simple = [reflection_matrix(rs, alpha) for alpha in rs.simple_roots]
+    elements = {identity: (0, "")}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            length, word = elements[m]
+            for i in range(n):
+                prod = _mat_mul_int(m, simple[i])
+                if prod not in elements:
+                    elements[prod] = (length + 1, word + str(i + 1))
+                    nxt.append(prod)
+                    if len(elements) > bound:
+                        raise BoundError(f"Weyl group exceeds bound {bound}")
+        frontier = nxt
+    elts = sorted(((word or "e", length, m) for m, (length, word) in elements.items()),
+                  key=lambda e: (e[1], e[0]))
+    by_matrix = {m: (elt_id, length) for elt_id, length, m in elts}
+    covers = []
+    for elt_id, length, m in elts:
+        for beta in rs.positive_roots:
+            upper, upper_length = by_matrix[_mat_mul_int(reflection_matrix(rs, beta), m)]
+            if upper_length == length + 1:
+                covers.append((upper, elt_id, beta))
+    return elts, sorted(covers)
+
+
 def freudenthal_by_levels(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     """Weight multiplicities of the Weyl module by the Freudenthal recursion
     over every weight, one height level at a time.
@@ -795,12 +855,10 @@ def freudenthal_by_levels(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
         )
 
     pos_omega = [
-        (rs.root_in_omega(beta), sum(beta), [b * d for b, d in zip(beta, sym)])
+        (rs.roots_in_omega[beta], sum(beta), [b * d for b, d in zip(beta, sym)])
         for beta in rs.positive_roots
     ]
-    simple_omega = [
-        rs.root_in_omega(tuple(int(t == i) for t in range(n))) for i in range(n)
-    ]
+    simple_omega = [rs.roots_in_omega[alpha] for alpha in rs.simple_roots]
     mults: dict[Weight, int] = {lam: 1}
     level: dict[Weight, tuple[int, ...]] = {lam: (0,) * n}
     depth = 0

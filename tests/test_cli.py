@@ -268,6 +268,34 @@ def test_non_integer_field_is_a_schema_error(tmp_path, capsys, field, value):
     assert capsys.readouterr().err.startswith("schema error:")
 
 
+MALFORMED_GR24 = {
+    "relation-names-an-unknown-variable": (
+        "ring.json", lambda d: d.update(relations=["x12*x34 + x23*q - x13*x24"]),
+    ),
+    "var-name-an-object": ("ring.json", lambda d: d["vars"][0].update(name={"x": 1})),
+    "var-name-a-number": ("ring.json", lambda d: d["vars"][0].update(name=12)),
+    "chart-chain-entry-an-object": (
+        "charts/chain_14.json", lambda d: d["chain"].__setitem__(0, {"id": "34"}),
+    ),
+    "chart-extra-vars-entry-an-object": (
+        "charts/chain_14.json", lambda d: d["extra_vars"].append({"v": 1}),
+    ),
+    "cover-lower-an-object": (
+        "stratification.json", lambda d: d["covers"][0].update(lower={"id": "12"}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GR24))
+def test_malformed_gr24_is_a_one_line_schema_error(tmp_path, capsys, case):
+    rel, mutate = MALFORMED_GR24[case]
+    ws = _corrupted_copy(tmp_path, "gr24", rel, mutate)
+    code = main(["validate", "-w", ws])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("schema error:") and err.count("\n") == 1
+
+
 def test_hilbert_negative_max_is_a_schema_error(capsys):
     code = main(["hilbert", "-w", bundled("gr24"), "--max", "-3"])
     captured = capsys.readouterr()

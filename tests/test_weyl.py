@@ -11,6 +11,7 @@ from chain_oracles import (
     freudenthal_by_levels,
     path_from_vector,
     validate_ls_by_bfs,
+    weyl_group_by_matrices,
 )
 from stratval.avector import AVector
 from stratval.errors import BoundError, SchemaError, StratvalError, ValidationFailure
@@ -80,20 +81,16 @@ def test_root_data(type_name, count):
     n = rs.rank
     assert len(rs.positive_roots) == count
     assert rs.positive_roots == sorted(rs.coroots)
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    omegas = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     for beta in rs.positive_roots:
         norm = sum(beta[i] * beta[j] * rs.sym[i] * rs.cartan[i][j]
                    for i in range(n) for j in range(n))
         coroot = rs.coroots[beta]
         assert all(c * norm == 2 * d * b for c, d, b in zip(coroot, rs.sym, beta))
-        s = rs.reflection_matrix(beta)
-        assert tuple(
-            tuple(sum(s[i][k] * s[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        ) == identity
-        beta_omega = rs.root_in_omega(beta)
-        assert tuple(sum(s[i][j] * beta_omega[j] for j in range(n))
-                     for i in range(n)) == tuple(-x for x in beta_omega)
+        # s_beta squares to the identity on every fundamental weight
+        assert all(rs.reflect(rs.reflect(w, beta), beta) == w for w in omegas)
+        beta_omega = rs.roots_in_omega[beta]
+        assert rs.reflect(beta_omega, beta) == tuple(-x for x in beta_omega)
 
 
 def test_weyl_group_sizes(a1, a2):
@@ -109,6 +106,40 @@ def test_weyl_group_sizes(a1, a2):
 def test_weyl_group_bound():
     with pytest.raises(BoundError):
         weyl_group(RootSystem.from_type("A3"), bound=10)
+
+
+def test_weyl_group_refuses_rank_above_nine():
+    """Ids are words of one-digit letters: on twelve disjoint A1 nodes "112"
+    would be both s1 s12 and s11 s2, 4,096 elements under 4,095 ids."""
+    def disjoint_a1(n):
+        return RootSystem([[2 * (i == j) for j in range(n)] for i in range(n)])
+
+    with pytest.raises(BoundError, match="rank 12"):
+        weyl_group(disjoint_a1(12))
+    group = weyl_group(disjoint_a1(9))
+    assert len(group.elements) == len(group.by_id) == 2 ** 9
+
+
+@pytest.mark.parametrize("type_name", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4",
+])
+def test_weyl_group_matches_the_matrix_bfs(type_name):
+    """Ids, lengths, element order, covers and the action on three dominant
+    weights agree with the BFS over reflection matrices."""
+    rs = RootSystem.from_type(type_name)
+    group = weyl_group(rs)
+    elements, covers = weyl_group_by_matrices(rs)
+    assert [(w.id, w.length) for w in group.elements] == [
+        (elt_id, length) for elt_id, length, _ in elements
+    ]
+    assert group.covers == covers
+    assert group.w0.id == elements[-1][0]
+    n = rs.rank
+    for lam in ((1,) * n, tuple(range(1, n + 1)), (2,) + (0,) * (n - 1)):
+        for w, (_, _, m) in zip(group.elements, elements):
+            assert w.act(lam) == tuple(
+                sum(x * l for x, l in zip(row, lam)) for row in m
+            )
 
 
 def test_covers_a1_a2(a1, a2):
