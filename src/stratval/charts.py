@@ -140,19 +140,32 @@ class ChainChart:
         return self._levels
 
     @staticmethod
-    def from_json(doc: dict) -> "ChainChart":
+    def from_json(
+        doc: dict, parsed: dict[str, LaurentPoly] | None = None
+    ) -> "ChainChart":
+        """The chart of a chart document.  `parsed` keeps each expression
+        string's polynomial for a caller that loads many charts: polynomials
+        are immutable, so charts may share them."""
+        if parsed is None:
+            parsed = {}
+
+        def parse(text) -> LaurentPoly:
+            if not isinstance(text, str):
+                return parse_laurent(text)   # refuses it
+            poly = parsed.get(text)
+            if poly is None:
+                poly = parsed[text] = parse_laurent(text)
+            return poly
+
         try:
             limits = json_object(doc).get("order_limits")
             return ChainChart(
                 chain=tuple(map(json_str, doc["chain"])),
                 divisor_vars=list(map(json_str, doc["divisor_vars"])),
                 extra_vars=list(map(json_str, doc["extra_vars"])),
-                f_exprs={
-                    k: parse_laurent(v) for k, v in json_object(doc["f_exprs"]).items()
-                },
+                f_exprs={k: parse(v) for k, v in json_object(doc["f_exprs"]).items()},
                 ambient_map={
-                    k: parse_laurent(v)
-                    for k, v in json_object(doc["ambient_map"]).items()
+                    k: parse(v) for k, v in json_object(doc["ambient_map"]).items()
                 },
                 order_limits=(
                     {k: json_int(v) for k, v in json_object(limits).items()}
@@ -180,12 +193,14 @@ Atlas = dict[Chain, ChainChart]
 
 
 def load_atlas(path: str, ps: StratPoset) -> Atlas:
-    """Load every chart json under a directory and verify the bond invariant."""
+    """Load every chart json under a directory and verify the bond invariant.
+    Each distinct expression string is parsed once per call."""
     atlas: Atlas = {}
+    parsed: dict[str, LaurentPoly] = {}
     for name in sorted(os.listdir(path)):
         if not name.endswith(".json"):
             continue
-        chart = ChainChart.from_json(read_json(os.path.join(path, name)))
+        chart = ChainChart.from_json(read_json(os.path.join(path, name)), parsed)
         chart.check_bonds(ps)
         atlas[chart.chain] = chart
     return atlas

@@ -94,16 +94,17 @@ def cmd_degree(ws: Workspace) -> int:
 
 
 def cmd_hilbert(ws: Workspace, max_n: int) -> int:
-    from stratval.geometry import default_lattices, hilbert_incl_excl, sr_hilbert
+    from stratval.geometry import default_lattices, hilbert_column, sr_hilbert_column
 
     if max_n < 0:
         raise SchemaError(f"--max must be nonnegative, got {max_n}")
     ps = ws.ps
-    lattices = default_lattices(ps)
+    columns = zip(
+        hilbert_column(ps, default_lattices(ps), max_n),
+        sr_hilbert_column(ps, max_n),
+    )
     lines = ["# stratval-csv/1", "n,incl_excl,stanley_reisner,ring"]
-    for n in range(max_n + 1):
-        ie = hilbert_incl_excl(ps, lattices, n)
-        sr = sr_hilbert(ps, n)
+    for n, (ie, sr) in enumerate(columns):
         ring = str(ws.ring.hilbert(n)) if ws.ring is not None else ""
         lines.append(f"{n},{ie},{sr},{ring}")
     print("\n".join(lines))

@@ -7,7 +7,8 @@ Hilbert functions are sums over faces, each face's lattice points counted
 from its fundamental parallelepiped by coin change.  On product and cut
 lattices, where a face's count depends on the face alone, the sum is one
 pass over the comparable pairs, as are the Stanley-Reisner count and the
-Euler characteristic; sums over chains are cover passes.
+Euler characteristic, and the pass at degree n holds every lower degree;
+sums over chains are cover passes.
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ def chain_volume(ps: StratPoset, chain: Chain, lattice: LatticeQ) -> Fraction:
         raise _rank_mismatch(len(rows) - 1, r)
     on_chain = set(chain)
     weights = [ps.fdeg[p] if p in on_chain else 0 for p in lattice.coords]
+    off_chain = [i for i, w in enumerate(weights) if not w]
     # rank r + 1 on the chain's coordinates alone: the span is Q^chain
-    if any(x and not w for row in rows for x, w in zip(row, weights)):
+    if any(row[i] for row in rows for i in off_chain):
         raise ValidationFailure(
             f"lattice does not span the coordinates of {'>'.join(chain)}"
         )
@@ -278,6 +280,37 @@ def hilbert_incl_excl(
     its chains are certified up to `is_saturated`'s default degree bound
     first and the call refuses on a witness of non-saturation.
     """
+    _require_countable(ps, lattices, n, fan)
+    if n == 0:
+        return _euler_characteristic(ps)
+    count = pair_count(ps, lattices, n)
+    return face_sum(ps, lattices, n) if count is None else count
+
+
+def hilbert_column(
+    ps: StratPoset,
+    lattices: dict[Chain, LatticeQ],
+    n: int,
+    fan: MonoidFan | None = None,
+) -> list[int]:
+    """`hilbert_incl_excl` for each degree 0, ..., n: on the lattices
+    `pair_counts` takes, every degree from its one pass at n, else
+    `face_sum` degree by degree."""
+    _require_countable(ps, lattices, n, fan)
+    counts = pair_counts(ps, lattices, n) if n else []
+    if counts is None:
+        counts = [face_sum(ps, lattices, k) for k in range(1, n + 1)]
+    return [_euler_characteristic(ps), *counts]
+
+
+def _require_countable(
+    ps: StratPoset,
+    lattices: dict[Chain, LatticeQ],
+    n: int,
+    fan: MonoidFan | None,
+) -> None:
+    """The refusals of `hilbert_incl_excl`: a negative n, a chain with no
+    lattice, and a fan chain with a witness of non-saturation."""
     if n < 0:
         raise SchemaError("hilbert_incl_excl needs n >= 0")
     _require_lattices(ps, lattices)
@@ -289,10 +322,6 @@ def hilbert_incl_excl(
                     f"chain {'>'.join(chain)} is not saturated "
                     f"(witness {rep.witness}); inclusion-exclusion refused"
                 )
-    if n == 0:
-        return _euler_characteristic(ps)
-    count = pair_count(ps, lattices, n)
-    return face_sum(ps, lattices, n) if count is None else count
 
 
 def face_sum(ps: StratPoset, lattices: dict[Chain, LatticeQ], n: int) -> int:
@@ -317,15 +346,25 @@ def face_sum(ps: StratPoset, lattices: dict[Chain, LatticeQ], n: int) -> int:
 def pair_count(
     ps: StratPoset, lattices: dict[Chain, LatticeQ], n: int
 ) -> int | None:
-    """`face_sum` for n > 0 as one pass over the comparable pairs, for the
-    two families of lattices on which a face's count depends on the face
-    alone; None for any other lattices.
+    """`face_sum` for n > 0, the last entry of `pair_counts`; None for the
+    lattices it does not take."""
+    counts = pair_counts(ps, lattices, n)
+    return None if counts is None else counts[-1]
+
+
+def pair_counts(
+    ps: StratPoset, lattices: dict[Chain, LatticeQ], n: int
+) -> list[int] | None:
+    """`face_sum` for the degrees 1, ..., n as one pass over the comparable
+    pairs at n, for the two families of lattices on which a face's count
+    depends on the face alone; None for any other lattices.
 
     - Product lattices: every maximal chain's lattice has full rank and
       diagonal Hermite rows, and each element p has one step s_p on every
       chain through it.  A face's interior points are then the k_p s_p e_p
       with k_p >= 1, so the count is `sr_hilbert`'s with coin deg f_p * s_p
-      over the lcm of the step denominators.
+      over the lcm of the step denominators, read at each multiple of that
+      lcm.
     - Cut lattices: every extremal degree is one, each chain's lattice is
       `weyl.lattice_LC_lambda`'s, and the bond gcd g(sigma, tau) of every
       interval is the same along each of its chains (`weyl.chain_gcds`
@@ -338,7 +377,7 @@ def pair_count(
     if steps is not None:
         scale = lcm(1, *(d for _, d in steps.values()))
         coins = {p: ps.fdeg[p] * x * (scale // d) for p, (x, d) in steps.items()}
-        return _coin_chains(ps, coins, n * scale)
+        return _coin_chains(ps, coins, n * scale)[scale::scale]
     if any(f != 1 for f in ps.fdeg.values()) or not all(
         is_cut_lattice(ps, c, lattices[c]) for c in chains
     ):
@@ -347,7 +386,7 @@ def pair_count(
         gcds = chain_gcds(ps)
     except ValidationFailure:
         return None
-    return sum(first_direction_counts(ps, gcds, n).values())
+    return [sum(d) for d in zip(*first_direction_counts(ps, gcds, n).values())]
 
 
 def _product_steps(
@@ -386,14 +425,19 @@ def _euler_characteristic(ps: StratPoset) -> int:
 def sr_hilbert(ps: StratPoset, n: int) -> int:
     """Hilbert function of the bond-free degeneration: monomials with chain
     support and weighted degree n (weights deg f_p)."""
+    return sr_hilbert_column(ps, n)[-1]
+
+
+def sr_hilbert_column(ps: StratPoset, n: int) -> list[int]:
+    """`sr_hilbert` for each degree 0, ..., n, from one pass at n."""
     if n < 0:
         raise SchemaError("sr_hilbert needs n >= 0")
-    return 1 if n == 0 else _coin_chains(ps, ps.fdeg, n)
+    return [1, *_coin_chains(ps, ps.fdeg, n)[1:]]
 
 
-def _coin_chains(ps: StratPoset, coins: dict[str, int], total: int) -> int:
-    """The nonempty chains with positive multiplicities k_p whose sum of
-    k_p * coins[p] is total > 0.
+def _coin_chains(ps: StratPoset, coins: dict[str, int], total: int) -> list[int]:
+    """For each d = 0, ..., total, the nonempty chains with positive
+    multiplicities k_p whose sum of k_p * coins[p] is d (none at d = 0).
 
     One pass over the comparable pairs, bottom-up: A[p][d] counts the chains
     with top p and positive multiplicities of sum d, and
@@ -412,4 +456,4 @@ def _coin_chains(ps: StratPoset, coins: dict[str, int], total: int) -> int:
         for d in range(c, total + 1):
             a[d] = under[d - c] + a[d - c]
         tops[p] = a
-    return sum(a[total] for a in tops.values())
+    return [sum(d) for d in zip(*tops.values())]

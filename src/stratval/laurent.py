@@ -263,6 +263,9 @@ _TOKEN = re.compile(
 )
 
 
+_ONE = Fraction(1)
+
+
 def parse_laurent(text: str) -> LaurentPoly:
     """Parse sums of signed monomials like '3*a^2*b^-1 - x14 + 1/2'."""
     if not isinstance(text, str):
@@ -280,7 +283,9 @@ def parse_laurent(text: str) -> LaurentPoly:
             return
         if coef is None and not mono:
             raise SchemaError(f"dangling sign in {text!r}")
-        c = Fraction(sign) * (coef if coef is not None else Fraction(1))
+        c = coef if coef is not None else _ONE
+        if sign < 0:
+            c = -c
         m = tuple(sorted((v, e) for v, e in mono.items() if e))
         _add_term(total, m, c)
         sign, coef, mono, pending = 1, None, {}, False

@@ -50,14 +50,22 @@ class LatticeQ:
         return len(self.rows)
 
     def membership(self, v: AVector) -> bool:
-        if not v.support() <= set(self.coords):
+        """Whether v is in the lattice: each entry x, times den, read off
+        x's numerator and denominator in integers."""
+        entries = v.entries
+        if not entries.keys() <= set(self.coords):
             return False
+        den = self.den
         scaled = []
         for p in self.coords:
-            x = v[p] * self.den
-            if x.denominator != 1:
+            x = entries.get(p)
+            if x is None:
+                scaled.append(0)
+                continue
+            q, r = divmod(x.numerator * den, x.denominator)
+            if r:
                 return False
-            scaled.append(int(x))
+            scaled.append(q)
         return self.contains_scaled(scaled)
 
     def contains_scaled(self, scaled: list[int]) -> bool:

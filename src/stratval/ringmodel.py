@@ -1,15 +1,21 @@
 """Graded quotient rings presented by generators and homogeneous relations.
 
 This is the independent ground-truth oracle: per-degree monomial bases,
-Hilbert function, and normal forms are computed by exact row reduction over
-Q.  No term orders beyond a fixed deterministic monomial enumeration, no
-Groebner machinery: the degree-m slice of the ideal is spanned by the
-relations times all monomials of complementary degree.
+Hilbert function, and normal forms are computed by exact row reduction.  No
+term orders beyond a fixed deterministic monomial enumeration, no Groebner
+machinery: the degree-m slice of the ideal is spanned by the relations times
+all monomials of complementary degree.  Each slice is eliminated
+fraction-free over Z (Bareiss, Math. Comp. 22, 1968): every relation is
+scaled to integer coefficients once per slice, a row is reduced as
+a * row - b * other with a, b the two leads over their gcd, and each stored
+row is primitive with a positive lead.  Normal forms are still `Fraction`
+coordinates, which the pivots and the row space determine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from stratval.errors import BoundError, SchemaError, json_int, json_str, read_json
 from stratval.laurent import LaurentPoly, Monomial, _mono_mul, parse_laurent
@@ -32,6 +38,7 @@ class GradedQuotient:
             if len(degs) != 1:
                 raise SchemaError(f"relation {rel} is not homogeneous")
             self.relations.append((rel, degs.pop()))
+        self._monomials: dict[int, list[Monomial]] = {}
         self._basis_cache: dict[int, list[Monomial]] = {}
         self._reduced_cache: dict[int, tuple] = {}
 
@@ -45,6 +52,12 @@ class GradedQuotient:
 
     def monomials(self, m: int) -> list[Monomial]:
         """All monomials of weighted degree m, in a fixed deterministic order."""
+        return list(self._monomials_of(m))
+
+    def _monomials_of(self, m: int) -> list[Monomial]:
+        """`monomials(m)`, built once per degree and kept; not to be changed."""
+        if m in self._monomials:
+            return self._monomials[m]
         out: list[Monomial] = []
 
         def walk(i: int, remaining: int, acc: list[tuple[str, int]]):
@@ -60,48 +73,53 @@ class GradedQuotient:
                 acc.pop()
 
         walk(0, m, [])
+        self._monomials[m] = out
         return out
 
     def _slice(self, m: int):
-        """Row-reduced degree-m slice of the ideal; returns (monomial order,
-        index of each monomial, reduced rows, pivot -> row index)."""
+        """Row-reduced degree-m slice of the ideal over Z; returns (monomial
+        order, index of each monomial, reduced rows, pivot -> row index).
+        Each reduced row is primitive with a positive lead, its largest key;
+        divided by that lead it is the row the reduction over Q would keep."""
         if m in self._reduced_cache:
             return self._reduced_cache[m]
-        monos = self.monomials(m)
+        monos = self._monomials_of(m)
         if len(monos) > SLICE_GUARD:
             raise BoundError(f"degree slice with {len(monos)} monomials refused")
         index = {mo: i for i, mo in enumerate(monos)}
-        shifts: dict[int, list[Monomial]] = {}
-        rows: list[dict[int, Fraction]] = []
+        reduced: list[dict[int, int]] = []
+        pivots: dict[int, int] = {}
         for rel, d in self.relations:
             if d > m:
                 continue
-            if m - d not in shifts:
-                shifts[m - d] = self.monomials(m - d)
-            for shift in shifts[m - d]:
-                rows.append(
-                    {index[_mono_mul(mo, shift)]: c for mo, c in rel.terms.items()}
-                )
-        reduced: list[dict[int, Fraction]] = []
-        pivots: dict[int, int] = {}
-        for row in rows:
-            row = dict(row)
-            while row:
-                lead = max(row)
-                if lead not in pivots:
-                    inv = 1 / row[lead]
-                    row = {j: c * inv for j, c in row.items()}
-                    pivots[lead] = len(reduced)
-                    reduced.append(row)
-                    break
-                other = reduced[pivots[lead]]
-                f = row[lead]
-                for j, c in other.items():
-                    s = row.get(j, Fraction(0)) - f * c
-                    if s:
-                        row[j] = s
-                    else:
-                        row.pop(j, None)
+            scale = lcm(*(c.denominator for c in rel.terms.values()))
+            terms = [
+                (mo, c.numerator * (scale // c.denominator))
+                for mo, c in rel.terms.items()
+            ]
+            for shift in self._monomials_of(m - d):
+                row = {index[_mono_mul(mo, shift)]: c for mo, c in terms}
+                while row:
+                    lead = max(row)
+                    if lead not in pivots:
+                        g = gcd(*row.values())
+                        if row[lead] < 0:
+                            g = -g
+                        pivots[lead] = len(reduced)
+                        reduced.append({j: c // g for j, c in row.items()})
+                        break
+                    other = reduced[pivots[lead]]
+                    g = gcd(row[lead], other[lead])
+                    a, b = other[lead] // g, row[lead] // g
+                    if a != 1:
+                        for j in row:
+                            row[j] *= a
+                    for j, c in other.items():
+                        s = row.get(j, 0) - b * c
+                        if s:
+                            row[j] = s
+                        else:
+                            row.pop(j, None)
         self._reduced_cache[m] = (monos, index, reduced, pivots)
         return self._reduced_cache[m]
 
@@ -131,9 +149,10 @@ class GradedQuotient:
         row = {index[mo]: c for mo, c in poly.terms.items()}
         for lead in sorted(pivots, reverse=True):
             if lead in row:
-                f = row[lead]
-                for j, c in reduced[pivots[lead]].items():
-                    s = row.get(j, Fraction(0)) - f * c
+                other = reduced[pivots[lead]]
+                f = Fraction(row[lead], other[lead])
+                for j, c in other.items():
+                    s = row.get(j, 0) - f * c
                     if s:
                         row[j] = s
                     else:

@@ -201,10 +201,29 @@ class WeylGroup:
     elements: list[WeylElt]   # by length, then word
     by_id: dict[str, WeylElt]
     covers: list[tuple[str, str, tuple[int, ...]]]   # (upper, lower, root beta)
+    # w(lam) by the id of w, per weight lam, filled by `images`; nothing
+    # changes the elements after construction, so the tables never go stale
+    _images: dict[Weight, dict[str, Weight]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def w0(self) -> WeylElt:
         return self.elements[-1]
+
+    def images(self, lam) -> dict[str, Weight]:
+        """w(lam) by the id of w, for every element: one pass in element
+        order, w(lam) = s_i(u(lam)) for the word i u, since u comes first.
+        Built once per weight and kept on the group; not to be changed."""
+        lam = tuple(lam)
+        got = self._images.get(lam)
+        if got is None:
+            got = self._images[lam] = {"e": lam}
+            simple = self.rs.simple_roots
+            for w in self.elements[1:]:
+                u = got[w.word[1:] or "e"]
+                got[w.id] = self.rs.reflect(u, simple[int(w.word[0]) - 1])
+        return got
 
 
 def weyl_group(rs: RootSystem, bound: int = CARTAN_BOUND) -> WeylGroup:
@@ -259,7 +278,7 @@ def bonds(rs: RootSystem, lam: Weight, group: WeylGroup | None = None) -> StratP
     _check_regular_dominant(lam, rs.rank)
     group = group or weyl_group(rs)
     elements = [(w.id, w.id) for w in group.elements]
-    images = {w.id: w.act(lam) for w in group.elements}
+    images = group.images(lam)
     covers = []
     for upper, lower, beta in group.covers:
         pairing = rs.coroot_pairing(images[lower], beta)
@@ -356,19 +375,12 @@ def nu(path: LSPath) -> AVector:
     return AVector(entries)
 
 
-def weight(path: LSPath, group: WeylGroup, lam: Weight,
-           images: dict[str, tuple] | None = None) -> Weight:
+def weight(path: LSPath, group: WeylGroup, lam: Weight) -> Weight:
     """The endpoint sum of (c_i - c_{i-1}) * tau_i(lam) over the path's steps,
-    summed in integers over the lcm of the cut denominators.  `images` keeps
-    tau(lam) by the id of tau, filled on use, for callers that weigh many
-    paths of one lam."""
-    if images is None:
-        images = {}
-    for d in path.dirs:
-        if d not in images:
-            images[d] = group.by_id[d].act(lam)
+    summed in integers over the lcm of the cut denominators, with each
+    tau_i(lam) read from `group.images`."""
     den = lcm(1, *(c.denominator for c in path.cuts))
-    return _path_weights([path], den, images, len(lam))[0]
+    return _path_weights([path], den, group.images(lam), len(lam))[0]
 
 
 def _path_weights(paths: list[LSPath], den: int, images: dict[str, tuple],
@@ -532,8 +544,8 @@ def enumerate_ls(
 
 def first_direction_counts(
     poset: StratPoset, gcds: dict[str, dict[str, int]], m: int
-) -> dict[str, int]:
-    """For each tau, the number of LS paths of degree m > 0 with first
+) -> dict[str, list[int]]:
+    """For each tau, the numbers of LS paths of degrees 1, ..., m with first
     direction tau: the walk of `enumerate_ls` over (element, integer cut)
     states with the counts of its paths summed instead of the paths listed.
 
@@ -542,7 +554,9 @@ def first_direction_counts(
     sigma < tau, the sum of N[sigma][c] over the multiples c of
     L / g(sigma, tau) in (k, mL).  Bottom-up, the sigmas of one step are
     added up first, and one suffix sum over the multiples of that step
-    serves every k; the count of tau is N[tau][0]."""
+    serves every k.  Every step divides L, so shifting the cuts by (m - j)L
+    maps the walk of degree j onto the one of degree m: the count of tau
+    at degree j is N[tau][(m - j)L]."""
     den = lcm(1, *poset.bond.values())
     top = m * den
     ways: dict[str, list[int]] = {}
@@ -559,7 +573,7 @@ def first_direction_counts(
             suffix = list(accumulate(reversed(at)))[::-1] + [0]
             row = [x + suffix[k // step] for k, x in enumerate(row)]
         ways[tau] = row
-    return {tau: row[0] for tau, row in ways.items()}
+    return {tau: row[::den][::-1] for tau, row in ways.items()}
 
 
 def path_count(
@@ -578,7 +592,7 @@ def path_count(
     if m == 0:  # the one path of degree zero
         return 1
     counts = first_direction_counts(poset, chain_gcds(poset), m)
-    return sum(counts[t] for t in firsts)
+    return sum(counts[t][-1] for t in firsts)
 
 
 # ------------------------------------------------------- character oracle ----
@@ -709,9 +723,8 @@ def character_check(rs: RootSystem, lam: Weight, m: int,
     paths = enumerate_ls(rs, lam, m, group=group, poset=poset)
     # every cut is a multiple of 1 / L with L the lcm of the bonds
     den = lcm(1, *poset.bond.values())
-    images = {w.id: w.act(lam) for w in group.elements}
     got: dict[Weight, int] = {}
-    for w in _path_weights(paths, den, images, rs.rank):
+    for w in _path_weights(paths, den, group.images(lam), rs.rank):
         got[w] = got.get(w, 0) + 1
     target = freudenthal_character(rs, dilated)
     discrepancies = []

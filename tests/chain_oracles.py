@@ -4,36 +4,36 @@ and code only the tests call.
 The library computes Hilbert functions as one sum over the faces of the
 order complex, each face counted from its fundamental parallelepiped,
 the Stanley-Reisner count and Euler characteristic as passes over
-comparable pairs, ring slices from shifted monomials, chain-sum degrees
-as one pass over the covers, ordered decompositions from chain-monoid
-slices kept on the fan, monoid membership by lookup in an enumerated
-slice, indecomposables by a sieve over those already found, chain
-volumes off the Hermite form of each lattice, and the transform of a
-Hermite form by eliminating [rows | I].  These are the direct forms,
-kept as oracles for small inputs: the inclusion-exclusion over every
-nonempty set of maximal chains, with each face's lattice points found by
-walking every weighted composition and testing its membership, the
-Stanley-Reisner count and the Euler characteristic summed over the
-listed faces, ring slices built from Laurent products, the degree sums
-over an explicit list of maximal chains, a decomposition that enumerates
-its slice on every call, membership by a depth-first search over
-generator subtractions, indecomposables by testing every ordered pair of
-a slice, a chain simplex's rational structure and volume by a
-determinant, with its degree-zero sublattice and echelon coordinates
-read from the lattice's integer rows, Ehrhart counting over the bounding
-box of that projected simplex, a lattice's rational basis with the
-degree-zero sublattice and coordinates computed through it over Q, the
-Hermite form by row operations that update the transform alongside,
-chart substitution with every power expanded in full, formal fractions
-of Laurent polynomials for the expanded valuation recursion, the Rees
-minimum with the atlas sorted and scanned for each cover and its own
-restriction through the outer divisor variables, LS paths as
-the union of the cut-lattice points over every maximal chain, read back
-as paths, the LS integrality predicate checked on one maximal chain of
-each Bruhat interval found by BFS, Freudenthal's recursion over
+comparable pairs, ring slices from shifted monomials reduced over Z,
+chain-sum degrees as one pass over the covers, ordered decompositions
+from chain-monoid slices kept on the fan, monoid membership by lookup in
+an enumerated slice, indecomposables by a sieve over those already
+found, chain volumes off the Hermite form of each lattice, and the
+transform of a Hermite form by eliminating [rows | I].  These are the
+direct forms, kept as oracles for small inputs: the inclusion-exclusion
+over every nonempty set of maximal chains, with each face's lattice
+points found by walking every weighted composition and testing its
+membership, the Stanley-Reisner count and the Euler characteristic
+summed over the listed faces, ring slices built from Laurent products
+and reduced over Q with the Hilbert function and normal forms read off
+them, the degree sums over an explicit list of maximal chains, a
+decomposition that enumerates its slice on every call, membership by a
+depth-first search over generator subtractions, indecomposables by
+testing every ordered pair of a slice, a chain simplex's rational
+structure and volume by a determinant, with its degree-zero sublattice
+and echelon coordinates read from the lattice's integer rows, Ehrhart
+counting over the bounding box of that projected simplex, a lattice's
+rational basis with the degree-zero sublattice and coordinates computed
+through it over Q, the Hermite form by row operations that update the
+transform alongside, chart substitution with every power expanded in
+full, formal fractions of Laurent polynomials for the expanded valuation
+recursion, the Rees minimum with the atlas sorted and scanned for each
+cover and its own restriction through the outer divisor variables, LS
+paths as the union of the cut-lattice points over every maximal chain,
+read back as paths, the LS integrality predicate checked on one maximal
+chain of each Bruhat interval found by BFS, Freudenthal's recursion over
 every weight of the module rather than the dominant ones, and the Weyl
-group as integer matrices found by multiplying reflection matrices.
-"""
+group as integer matrices found by multiplying reflection matrices. """
 
 from __future__ import annotations
 
@@ -168,6 +168,32 @@ def ring_slice_by_products(ring: GradedQuotient, m: int):
                 else:
                     row.pop(j, None)
     return monos, index, reduced, pivots
+
+
+def hilbert_by_products(ring: GradedQuotient, m: int) -> int:
+    """dim R_m: the monomials of degree m less the rank of the slice of the
+    ideal, reduced over Q."""
+    monos, _, _, pivots = ring_slice_by_products(ring, m)
+    return len(monos) - len(pivots)
+
+
+def normal_form_by_products(
+    ring: GradedQuotient, poly: LaurentPoly, m: int
+) -> dict:
+    """The coordinates of a degree-m element in the degree basis, reduced by
+    the rows of `ring_slice_by_products` over Q, highest pivot first."""
+    monos, index, reduced, pivots = ring_slice_by_products(ring, m)
+    row = {index[mo]: c for mo, c in poly.terms.items()}
+    for lead in sorted(pivots, reverse=True):
+        f = row.get(lead)
+        if f:
+            for j, c in reduced[pivots[lead]].items():
+                s = row.get(j, Fraction(0)) - f * c
+                if s:
+                    row[j] = s
+                else:
+                    row.pop(j, None)
+    return {monos[j]: c for j, c in sorted(row.items())}
 
 
 def maximal_chains_below(ps: StratPoset, p: str) -> list[Chain]:

@@ -29,10 +29,13 @@ from stratval.geometry import (
     count_face_points,
     default_lattices,
     face_sum,
+    hilbert_column,
     hilbert_incl_excl,
     hodge_degree,
     pair_count,
+    pair_counts,
     sr_hilbert,
+    sr_hilbert_column,
 )
 from stratval.monoids import LatticeQ
 from stratval.poset import StratPoset, generic_model
@@ -333,3 +336,38 @@ def test_hodge_cover_pass_matches_chain_list(name):
         )
         return
     assert got == hodge_degree_by_chains(ps)
+
+
+GENERIC = {
+    f"generic_{s}_{r}": (s, r)
+    for s, r in ((3, 2), (4, 2), (5, 2), (6, 2), (4, 3), (5, 3))
+}
+CUT = {"A2": (1, 2), "B2": (1, 1), "A3": (1, 1, 1)}
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, *GENERIC, *CUT])
+def test_columns_from_one_pass_equal_the_values_per_degree(name):
+    """The Hilbert and Stanley-Reisner columns up to 8 from one pass equal
+    the values computed degree by degree, each count also equal to the face
+    list, on the bundled sets and generic models with their bond lattices
+    and on Weyl posets with their cut lattices."""
+    if name in CUT:
+        rs = RootSystem.from_type(name)
+        ps = bonds(rs, CUT[name], weyl_group(rs))
+        lattices = {c: lattice_LC_lambda(ps, c) for c in ps.maximal_chains()}
+    else:
+        ps = generic_model(*GENERIC[name]) if name in GENERIC else (
+            load_workspace(bundled(name)).ps
+        )
+        lattices = default_lattices(ps)
+    top = 8
+    column = hilbert_column(ps, lattices, top)
+    assert column == [hilbert_incl_excl(ps, lattices, n) for n in range(top + 1)]
+    assert column[1:] == [face_sum(ps, lattices, n) for n in range(1, top + 1)]
+    counts = pair_counts(ps, lattices, top)
+    assert (counts is None) == (name in FACE_LIST_SETS)
+    if counts is not None:
+        assert counts == column[1:]
+    sr = sr_hilbert_column(ps, top)
+    assert sr == [sr_hilbert(ps, n) for n in range(top + 1)]
+    assert sr == [sr_hilbert_by_faces(ps, n) for n in range(top + 1)]

@@ -1,10 +1,17 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chain_oracles import ring_slice_by_products
+from chain_oracles import (
+    hilbert_by_products,
+    normal_form_by_products,
+    ring_slice_by_products,
+)
 from stratval.errors import BoundError, SchemaError
-from stratval.laurent import parse_laurent
+from stratval.laurent import LaurentPoly, parse_laurent
 from stratval.ringmodel import GradedQuotient
 from stratval.workspace import bundled, load_workspace
 
@@ -105,14 +112,84 @@ def test_is_zero_in_quotient(gr24_ring):
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_slice_rows_match_the_laurent_products(name):
-    """Shifting each relation's monomials gives the rows the Laurent products
-    gave: the same reduced rows, entry for entry and in order, and the same
-    pivots."""
+    """The slice reduced over Z against the Laurent products reduced over Q:
+    the same monomials, index and pivots, every row primitive with a
+    positive lead and its keys in the oracle's order, and each row over its
+    lead equal to the oracle's row, entry for entry."""
     ring = load_workspace(bundled(name)).require_ring()
     for m in range(5):
         monos, index, reduced, pivots = ring._slice(m)
-        want = ring_slice_by_products(ring, m)
-        assert (monos, index, reduced, pivots) == want
-        assert [list(row.items()) for row in reduced] == [
-            list(row.items()) for row in want[2]
-        ]
+        want_monos, want_index, want_rows, want_pivots = ring_slice_by_products(
+            ring, m
+        )
+        assert (monos, index, pivots) == (want_monos, want_index, want_pivots)
+        assert len(reduced) == len(want_rows)
+        for row, want in zip(reduced, want_rows):
+            assert list(row) == list(want)
+            assert all(type(c) is int for c in row.values())
+            lead = row[max(row)]
+            assert lead > 0
+            assert gcd(*row.values()) == 1
+            assert [Fraction(c, lead) for c in row.values()] == list(want.values())
+
+
+RATIONALS = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 5)
+)
+
+
+def draw_element(draw, ring: GradedQuotient, m: int) -> LaurentPoly:
+    """A degree-m element: up to four of its monomials with rational
+    coefficients."""
+    monos = draw(st.lists(
+        st.sampled_from(ring.monomials(m)), min_size=1, max_size=4, unique=True
+    ))
+    return LaurentPoly({mo: draw(RATIONALS) for mo in monos})
+
+
+def assert_matches_the_fraction_oracle(ring: GradedQuotient, m: int, elements):
+    assert ring.hilbert(m) == hilbert_by_products(ring, m)
+    for poly in elements:
+        nf = ring.normal_form(poly, m)
+        assert nf == normal_form_by_products(ring, poly, m)
+        assert all(type(c) is Fraction for c in nf.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_slices_match_the_fraction_oracle(data):
+    """Random homogeneous relations with rational coefficients in variables
+    of degrees 1, 1 and 2: the Hilbert function and the normal forms of
+    random elements equal those of the slices reduced over Q."""
+    draw = data.draw
+    variables = [("x", 1), ("y", 1), ("z", 2)]
+    free = GradedQuotient(variables, [])
+    relations = [
+        draw_element(draw, free, draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    ring = GradedQuotient(variables, relations)
+    for m in range(5):
+        elements = [draw_element(draw, ring, m) for _ in range(2)]
+        assert_matches_the_fraction_oracle(ring, m, elements)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_rings_match_the_fraction_oracle(name):
+    """Every monomial of degree at most 3, and the sum of all monomials of
+    degree 4 with distinct rational coefficients."""
+    ring = load_workspace(bundled(name)).require_ring()
+    for m in range(4):
+        monomials = [LaurentPoly({mo: Fraction(1)}) for mo in ring.monomials(m)]
+        assert_matches_the_fraction_oracle(ring, m, monomials)
+    total = LaurentPoly({
+        mo: Fraction(k + 1, k + 2) for k, mo in enumerate(ring.monomials(4))
+    })
+    assert_matches_the_fraction_oracle(ring, 4, [total])
+
+
+def test_monomials_are_a_fresh_list_each_call(gr24_ring):
+    first = gr24_ring.monomials(2)
+    first.clear()
+    assert len(gr24_ring.monomials(2)) == 21
+    assert gr24_ring.hilbert(2) == 20

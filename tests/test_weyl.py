@@ -142,6 +142,23 @@ def test_weyl_group_matches_the_matrix_bfs(type_name):
             )
 
 
+@pytest.mark.parametrize("type_name", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4",
+])
+def test_images_match_the_action_of_each_word(type_name):
+    """The images of three weights, one of them not dominant, from one pass
+    in element order equal w(lam) by each element's whole word, and each
+    weight's table is built once per group."""
+    rs = RootSystem.from_type(type_name)
+    group = weyl_group(rs)
+    n = rs.rank
+    for lam in ((1,) * n, (2,) + (0,) * (n - 1), tuple(i % 3 - 1 for i in range(n))):
+        images = group.images(lam)
+        assert list(images) == [w.id for w in group.elements]
+        assert all(images[w.id] == w.act(lam) for w in group.elements)
+        assert group.images(list(lam)) is images
+
+
 def test_covers_a1_a2(a1, a2):
     assert [(u, l) for u, l, _ in a1[1].covers] == [("1", "e")]
     ps = bonds(a2[0], (1, 1), a2[1])
@@ -260,7 +277,6 @@ def test_weight(a1, a2):
 def test_weight_matches_the_rational_sum(t, lam, m):
     rs = RootSystem.from_type(t)
     group = weyl_group(rs)
-    images: dict = {}
     for path in enumerate_ls(rs, lam, m, group=group):
         total = [Fraction(0)] * len(lam)
         prev = Fraction(0)
@@ -268,8 +284,7 @@ def test_weight_matches_the_rational_sum(t, lam, m):
             for i, x in enumerate(group.by_id[d].act(lam)):
                 total[i] += (c - prev) * x
             prev = c
-        assert weight(path, group, lam, images) == tuple(total)
-    assert set(images) <= {w.id for w in group.elements}
+        assert weight(path, group, lam) == tuple(total)
 
 
 def test_validate_ls_rejects_bad_cut(a1):

@@ -82,3 +82,62 @@ def test_extended_bottom_in_dot():
     dot = generic_model(3, 2).hasse_dot()
     assert dot.count("p_minus_1") == 1 + 3
     assert dot.count('label="2"') == 3  # bottom degrees s-1 = 2
+
+
+def test_load_atlas_parses_each_expression_once(monkeypatch):
+    """torus_t2's twelve charts hold 240 expression strings, 13 of them
+    distinct: one atlas load parses each distinct string once, and its
+    charts equal those loaded file by file."""
+    import os
+
+    import stratval.charts as charts
+    from stratval.errors import read_json
+    from stratval.poset import StratPoset
+
+    root = bundled("torus_t2")
+    ps = StratPoset.load(os.path.join(root, "stratification.json"))
+    chart_dir = os.path.join(root, "charts")
+    docs = [
+        read_json(os.path.join(chart_dir, name))
+        for name in sorted(os.listdir(chart_dir))
+    ]
+    texts = [
+        text for doc in docs for key in ("f_exprs", "ambient_map")
+        for text in doc[key].values()
+    ]
+    assert (len(texts), len(set(texts))) == (240, 13)
+    by_file = [charts.ChainChart.from_json(doc).to_json() for doc in docs]
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_laurent(text)
+
+    monkeypatch.setattr(charts, "parse_laurent", counting_parse)
+    atlas = charts.load_atlas(chart_dir, ps)
+    assert sorted(calls) == sorted(set(texts))
+    assert [chart.to_json() for chart in atlas.values()] == by_file
+    calls.clear()
+    charts.load_atlas(chart_dir, ps)
+    assert len(calls) == 13   # the memo lives for one call only
+
+
+@pytest.mark.parametrize("entry", [["x14"], {"x": 1}, 5, None])
+def test_load_atlas_refuses_a_non_string_expression_as_the_parser_does(
+    tmp_path, gr24, entry
+):
+    import shutil
+
+    from stratval.charts import load_atlas
+
+    root = tmp_path / "charts"
+    shutil.copytree(bundled("gr24") + "/charts", root)
+    path = root / "chain_14.json"
+    doc = json.loads(path.read_text())
+    doc["f_exprs"]["14"] = entry
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as refused:
+        load_atlas(str(root), gr24)
+    with pytest.raises(SchemaError) as parser:
+        parse_laurent(entry)
+    assert str(refused.value) == str(parser.value)
