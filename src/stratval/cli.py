@@ -99,6 +99,7 @@ def cmd_hilbert(ws: Workspace, max_n: int) -> int:
     if max_n < 0:
         raise SchemaError(f"--max must be nonnegative, got {max_n}")
     ps = ws.ps
+    ps.r  # refuses a poset that `validate` refuses, as `degree` does
     columns = zip(
         hilbert_column(ps, default_lattices(ps), max_n),
         sr_hilbert_column(ps, max_n),

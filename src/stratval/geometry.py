@@ -3,12 +3,12 @@
 The complex is the order complex of the poset realized with vertices
 e_p / deg f_p.  The volume of each maximal simplex, measured in its chain's
 lattice, is read off the Hermite normal form of that lattice.
-Hilbert functions are sums over faces, each face's lattice points counted
-from its fundamental parallelepiped by coin change.  On product and cut
-lattices, where a face's count depends on the face alone, the sum is one
-pass over the comparable pairs, as are the Stanley-Reisner count and the
-Euler characteristic, and the pass at degree n holds every lower degree;
-sums over chains are cover passes.
+The Hilbert function is one column, every degree up to n from one pass at
+n: over the comparable pairs on product and cut lattices, where a face's
+count depends on the face alone, else over the faces, each counted from its
+fundamental parallelepiped by coin change.  The Stanley-Reisner count and
+the Euler characteristic are passes over the comparable pairs; sums over
+chains are cover passes.
 """
 
 from __future__ import annotations
@@ -159,18 +159,19 @@ def count_face_points(
     ways: dict = {}
     for mask in range(1, 1 << len(face)):
         sub = tuple(p for i, p in enumerate(face) if mask >> i & 1)
-        count += _interior_count(ps, sub, lattice, n, ways)
+        count += _interior_counts(ps, sub, lattice, n, ways)[-1]
     return count
 
 
-def _interior_count(
+def _interior_counts(
     ps: StratPoset, face: Chain, lattice: LatticeQ, n: int, ways: dict
-) -> int:
-    """Lattice points of degree n whose entries are positive exactly on the
-    face: each is pi + sum_p k_p t_p e_p with pi in the face's fundamental
-    parallelepiped and k >= 0, so the count is the sum over pi of the ways
-    to pay the rest of n * den with coins deg f_p * t_p.  `ways` keeps the
-    coin-change tables of one caller, keyed by (coins, top)."""
+) -> list[int]:
+    """For d = 1, ..., n, the lattice points of degree d whose entries are
+    positive exactly on the face: each is pi + sum_p k_p t_p e_p with pi in
+    the face's fundamental parallelepiped and k >= 0, so the count is the sum
+    over pi of the ways to pay the rest of d * den with coins deg f_p * t_p,
+    all read off one table to n * den.  `ways` keeps the coin-change tables
+    of one caller, keyed by (coins, top)."""
     coins, residues = _parallelepiped(ps, face, lattice)
     top = n * lattice.den
     table = ways.get((coins, top))
@@ -179,15 +180,17 @@ def _interior_count(
         for c in coins:
             for d in range(c, top + 1):
                 table[d] += table[d - c]
-    return sum(table[top - r] for r in residues if r <= top)
+    return [
+        sum(table[m - r] for r in residues if r <= m)
+        for m in range(lattice.den, top + 1, lattice.den)
+    ]
 
 
 def _parallelepiped(
     ps: StratPoset, face: Chain, lattice: LatticeQ
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The face's coins deg f_p * t_p and the sorted degrees of the points
-    of its fundamental parallelepiped, both scaled by den; built once per
-    (lattice, face) and kept on the lattice.
+    of its fundamental parallelepiped, both scaled by den.
 
     L_F = L meet Q^F is spanned by the Hermite rows of den * L, taken with
     the off-face columns first, that vanish off the face.  t_p is the least
@@ -198,50 +201,44 @@ def _parallelepiped(
     the lattice's coordinates holds no point; one where L_F has rank below
     |F| is refused.
     """
-    weights = tuple(ps.fdeg[p] for p in face)
-    got = lattice._parallelepipeds.get((face, weights))
-    if got is not None:
-        return got
     slot = {p: i for i, p in enumerate(lattice.coords)}
     if not all(p in slot for p in face):
-        got = ((), ())
-    else:
-        on = [slot[p] for p in face]
-        off = [i for i in range(len(slot)) if i not in on]
-        k = len(off)
-        rows = [
-            h[k:]
-            for h in hnf_basis([[row[i] for i in off + on] for row in lattice.rows])
-            if not any(h[:k])
-        ]
-        if len(rows) < len(face):
-            raise ValidationFailure(
-                f"chain {'>'.join(lattice.coords)}: the lattice meets the face "
-                f"{'>'.join(face)} in rank {len(rows)}, expected {len(face)}"
-            )
-        t = [_least_multiple(rows, j) for j in range(len(face))]
-        group = [(0,) * len(face)]
-        if prod(t) != prod(row[i] for i, row in enumerate(rows)):
-            for row in rows:
-                # add the cosets of the group by the multiples of the row
-                members = set(group)
-                step = tuple(x % tp for x, tp in zip(row, t))
-                shift, cosets = step, []
-                while shift not in members:
-                    cosets += [
-                        tuple((a + b) % tp for a, b, tp in zip(g, shift, t))
-                        for g in group
-                    ]
-                    shift = tuple((a + b) % tp for a, b, tp in zip(shift, step, t))
-                group += cosets
-        got = (
-            tuple(w * tp for w, tp in zip(weights, t)),
-            tuple(sorted(
-                sum(w * (x or tp) for w, x, tp in zip(weights, g, t)) for g in group
-            )),
+        return (), ()
+    on = [slot[p] for p in face]
+    off = [i for i in range(len(slot)) if i not in on]
+    k = len(off)
+    rows = [
+        h[k:]
+        for h in hnf_basis([[row[i] for i in off + on] for row in lattice.rows])
+        if not any(h[:k])
+    ]
+    if len(rows) < len(face):
+        raise ValidationFailure(
+            f"chain {'>'.join(lattice.coords)}: the lattice meets the face "
+            f"{'>'.join(face)} in rank {len(rows)}, expected {len(face)}"
         )
-    lattice._parallelepipeds[face, weights] = got
-    return got
+    t = [_least_multiple(rows, j) for j in range(len(face))]
+    group = [(0,) * len(face)]
+    if prod(t) != prod(row[i] for i, row in enumerate(rows)):
+        for row in rows:
+            # add the cosets of the group by the multiples of the row
+            members = set(group)
+            step = tuple(x % tp for x, tp in zip(row, t))
+            shift, cosets = step, []
+            while shift not in members:
+                cosets += [
+                    tuple((a + b) % tp for a, b, tp in zip(g, shift, t))
+                    for g in group
+                ]
+                shift = tuple((a + b) % tp for a, b, tp in zip(shift, step, t))
+            group += cosets
+    weights = [ps.fdeg[p] for p in face]
+    return (
+        tuple(w * tp for w, tp in zip(weights, t)),
+        tuple(sorted(
+            sum(w * (x or tp) for w, x, tp in zip(weights, g, t)) for g in group
+        )),
+    )
 
 
 def _least_multiple(rows: list[list[int]], j: int) -> int:
@@ -267,24 +264,10 @@ def hilbert_incl_excl(
     n: int,
     fan: MonoidFan | None = None,
 ) -> int:
-    """Lattice points of degree n in the fan, one sum over the faces F of
-    the order complex (`face_sum`).
-
-    For n > 0 it is counted by one pass over the comparable pairs instead
-    when the lattices make each face's count depend on the face alone
-    (`pair_count`); every other family of lattices goes through the face
-    list.  For n = 0 the value is the Euler characteristic, sum of
-    (-1)^(|F|+1), by one pass over the comparable pairs.
-
-    Valid for normal (saturated) stratifications only; when a fan is supplied
-    its chains are certified up to `is_saturated`'s default degree bound
-    first and the call refuses on a witness of non-saturation.
-    """
-    _require_countable(ps, lattices, n, fan)
-    if n == 0:
-        return _euler_characteristic(ps)
-    count = pair_count(ps, lattices, n)
-    return face_sum(ps, lattices, n) if count is None else count
+    """Lattice points of degree n in the fan: `hilbert_column`'s entry at
+    n, with no Euler characteristic computed for n > 0."""
+    counts = _graded_counts(ps, lattices, n, fan)
+    return counts[-1] if n else _euler_characteristic(ps)
 
 
 def hilbert_column(
@@ -293,24 +276,25 @@ def hilbert_column(
     n: int,
     fan: MonoidFan | None = None,
 ) -> list[int]:
-    """`hilbert_incl_excl` for each degree 0, ..., n: on the lattices
-    `pair_counts` takes, every degree from its one pass at n, else
-    `face_sum` degree by degree."""
-    _require_countable(ps, lattices, n, fan)
-    counts = pair_counts(ps, lattices, n) if n else []
-    if counts is None:
-        counts = [face_sum(ps, lattices, k) for k in range(1, n + 1)]
-    return [_euler_characteristic(ps), *counts]
+    """Lattice points of degree k in the fan for k = 0, ..., n: the Euler
+    characteristic at 0, then `pair_counts` on the lattices it takes and
+    `face_sums` on any other.
+
+    Valid for normal (saturated) stratifications only; when a fan is supplied
+    its chains are certified up to `is_saturated`'s default degree bound
+    first and the call refuses on a witness of non-saturation.  A negative n
+    and a chain with no lattice are refused too.
+    """
+    return [_euler_characteristic(ps), *_graded_counts(ps, lattices, n, fan)]
 
 
-def _require_countable(
+def _graded_counts(
     ps: StratPoset,
     lattices: dict[Chain, LatticeQ],
     n: int,
     fan: MonoidFan | None,
-) -> None:
-    """The refusals of `hilbert_incl_excl`: a negative n, a chain with no
-    lattice, and a fan chain with a witness of non-saturation."""
+) -> list[int]:
+    """The entries of `hilbert_column` at 1, ..., n, after its refusals."""
     if n < 0:
         raise SchemaError("hilbert_incl_excl needs n >= 0")
     _require_lattices(ps, lattices)
@@ -322,40 +306,35 @@ def _require_countable(
                     f"chain {'>'.join(chain)} is not saturated "
                     f"(witness {rep.witness}); inclusion-exclusion refused"
                 )
+    counts = pair_counts(ps, lattices, n) if n else []
+    return face_sums(ps, lattices, n) if counts is None else counts
 
 
-def face_sum(ps: StratPoset, lattices: dict[Chain, LatticeQ], n: int) -> int:
-    """For n > 0: the sum over the faces F of the order complex of #{v in
-    L_C(F) : deg v = n, v_p > 0 exactly on F}, where C(F) is the last chain
-    in ps.maximal_chains() order that contains F.
+def face_sums(
+    ps: StratPoset, lattices: dict[Chain, LatticeQ], n: int
+) -> list[int]:
+    """For k = 1, ..., n: the sum over the faces F of the order complex of
+    #{v in L_C(F) : deg v = k, v_p > 0 exactly on F}, where C(F) is the last
+    chain in ps.maximal_chains() order that contains F.
 
     This equals inclusion-exclusion over the sets S of maximal chains, each
     counting the v >= 0 on the meet of S in the lattice of the first chain
     of S: the sets whose first chain contains F cancel unless no later chain
     does.  It holds for any lattices, also ones that disagree on F.  Each
-    face's count is read off its fundamental parallelepiped in L_C(F) by
-    coin change (`_interior_count`); no point is enumerated.
+    face's counts are read off its fundamental parallelepiped in L_C(F) by
+    coin change (`_interior_counts`); no point is enumerated.
     """
     ways: dict = {}
-    return sum(
-        _interior_count(ps, face, lattices[chain], n, ways)
+    return [sum(col) for col in zip(*(
+        _interior_counts(ps, face, lattices[chain], n, ways)
         for face, chain in ps.faces_with_last_chain().items()
-    )
-
-
-def pair_count(
-    ps: StratPoset, lattices: dict[Chain, LatticeQ], n: int
-) -> int | None:
-    """`face_sum` for n > 0, the last entry of `pair_counts`; None for the
-    lattices it does not take."""
-    counts = pair_counts(ps, lattices, n)
-    return None if counts is None else counts[-1]
+    ))]
 
 
 def pair_counts(
     ps: StratPoset, lattices: dict[Chain, LatticeQ], n: int
 ) -> list[int] | None:
-    """`face_sum` for the degrees 1, ..., n as one pass over the comparable
+    """`face_sums` for the degrees 1, ..., n as one pass over the comparable
     pairs at n, for the two families of lattices on which a face's count
     depends on the face alone; None for any other lattices.
 

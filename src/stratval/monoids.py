@@ -24,18 +24,14 @@ from stratval.poset import Chain, StratPoset
 class LatticeQ:
     """Full- or partial-rank lattice in Q^chain spanned by the integer rows
     / den, one entry per coordinate of coords; the rows need not be
-    independent.  Kept as the nonzero rows of their Hermite normal form.
-
-    `geometry` keeps each face's parallelepiped data in `_parallelepipeds`,
-    built on first use; nothing changes a lattice after construction, so the
-    entries need no invalidation.
+    independent.  Kept as the nonzero rows of their Hermite normal form;
+    nothing changes a lattice after construction.
     """
 
     def __init__(self, coords: Chain, rows: list[list[int]], den: int):
         self.coords = tuple(coords)
         self.den = den
         self.rows = hnf_basis(rows)
-        self._parallelepipeds: dict[tuple[Chain, tuple[int, ...]], tuple] = {}
 
     @property
     def basis(self) -> list[AVector]:

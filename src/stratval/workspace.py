@@ -34,6 +34,7 @@ class Workspace:
 
     def require_atlas(self) -> Atlas:
         if not self.atlas:
+            self.ps.r  # a poset that fails validation has its charts skipped
             raise SchemaError(f"workspace {self.root} has no charts/ directory")
         return self.atlas
 

@@ -304,6 +304,51 @@ def test_hilbert_negative_max_is_a_schema_error(capsys):
     assert captured.err.startswith("schema error:")
 
 
+# posets that `validate` refuses, with the failure it names
+INVALID_POSETS = {
+    "ungraded": (
+        ["t", "a", "b", "c"], [("t", "a"), ("a", "b"), ("t", "c")],
+        "not graded: chain lengths [1, 2], witness t>c",
+    ),
+    "two-maximal": (
+        ["a", "b", "c"], [("a", "c"), ("b", "c")],
+        "expected a unique maximal element, found ['a', 'b']",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_POSETS)
+def test_hilbert_refuses_a_poset_that_degree_refuses(tmp_path, capsys, case):
+    ids, covers, failure = INVALID_POSETS[case]
+    doc = {
+        "elements": [{"id": p, "fdeg": 1} for p in ids],
+        "covers": [{"upper": u, "lower": l, "bond": 1} for u, l in covers],
+    }
+    (tmp_path / "stratification.json").write_text(json.dumps(doc))
+    for argv in (["degree"], ["hilbert", "--max", "2"]):
+        code = main([argv[0], "-w", str(tmp_path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", argv
+        assert captured.err == f"error: {failure}\n", argv
+
+
+@pytest.mark.parametrize("command", ["valuate", "subduct"])
+def test_invalid_poset_with_charts_is_refused_for_its_failure(
+    tmp_path, capsys, command
+):
+    """The charts of a poset that fails validation are not loaded, and the
+    refusal names the failure, not a missing charts/ directory."""
+    root = _corrupted_copy(
+        tmp_path, "gr24", "stratification.json",
+        lambda d: d["elements"].append({"id": "zz", "fdeg": 1}),
+    )
+    code = main([command, "-w", root, "--poly", "x14"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: expected a unique maximal element")
+    assert captured.err.count("\n") == 1
+
+
 WRONG_SHAPES = {
     "config-not-an-object": ("config.json", "valuate", lambda doc: ["34"]),
     "total-order-not-a-list": ("config.json", "valuate", lambda doc: {"total_order": 5}),

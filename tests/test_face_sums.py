@@ -1,13 +1,13 @@
 """Face and cover sums against their chain-list oracles.
 
-`face_sum` is one sum over the faces of the order complex, each face
-counted from its fundamental parallelepiped; `hilbert_incl_excl` takes it,
-or one pass over the comparable pairs (`pair_count`) on product and cut
-lattices.  `sr_hilbert` and the Euler characteristic are passes over the
-comparable pairs, and the Schubert and Hodge degrees are one pass over the
-covers.  `chain_oracles` keeps the inclusion-exclusion over sets of maximal
-chains with its composition walk, the sums over listed faces and the sums
-over listed chains they must equal.
+`face_sums` is one sum over the faces of the order complex for every degree
+up to n, each face counted from its fundamental parallelepiped;
+`hilbert_column` takes it, or one pass over the comparable pairs
+(`pair_counts`) on product and cut lattices.  `sr_hilbert` and the Euler
+characteristic are passes over the comparable pairs, and the Schubert and
+Hodge degrees are one pass over the covers.  `chain_oracles` keeps the
+inclusion-exclusion over sets of maximal chains with its composition walk,
+the sums over listed faces and the sums over listed chains they must equal.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from stratval.errors import ValidationFailure
 from stratval.geometry import (
     count_face_points,
     default_lattices,
-    face_sum,
+    face_sums,
     hilbert_column,
     hilbert_incl_excl,
     hodge_degree,
-    pair_count,
     pair_counts,
     sr_hilbert,
     sr_hilbert_column,
@@ -105,12 +104,14 @@ def bonded_lattices(draw):
 
 def assert_counts_match_chain_subsets(ps, lattices, degrees):
     """The dispatcher and the face list itself each equal the
-    inclusion-exclusion over sets of maximal chains."""
+    inclusion-exclusion over sets of maximal chains at each degree; the
+    degrees run from 0 and the face list is read once, at the last."""
+    sums = face_sums(ps, lattices, max(degrees))
     for n in degrees:
         want = hilbert_by_chain_subsets(ps, lattices, n)
         assert hilbert_incl_excl(ps, lattices, n) == want
         if n:
-            assert face_sum(ps, lattices, n) == want
+            assert sums[n - 1] == want
 
 
 def bond_sums(ps: StratPoset) -> dict:
@@ -161,10 +162,10 @@ def test_cut_lattices_of_degree_one_posets_count_as_the_face_list(ps):
     except ValidationFailure:
         one_gcd = False
     for n in range(1, 4):
-        count = pair_count(ps, lattices, n)
-        assert (count is not None) == one_gcd
+        counts = pair_counts(ps, lattices, n)
+        assert (counts is not None) == one_gcd
         if one_gcd:
-            assert count == face_sum(ps, lattices, n)
+            assert counts == face_sums(ps, lattices, n)
     if len(ps.maximal_chains()) <= 6:
         assert_counts_match_chain_subsets(ps, lattices, range(4))
 
@@ -232,7 +233,7 @@ def test_face_sum_matches_chain_subsets_on_bundled_sets(name):
     product lattices, counted by the pass over pairs."""
     ps = load_workspace(bundled(name)).ps
     lattices = default_lattices(ps)
-    assert (pair_count(ps, lattices, 1) is None) == (name in FACE_LIST_SETS)
+    assert (pair_counts(ps, lattices, 1) is None) == (name in FACE_LIST_SETS)
     assert_counts_match_chain_subsets(ps, lattices, range(5))
     if name in FACE_LIST_SETS:
         got = [hilbert_incl_excl(ps, lattices, n) for n in range(6)]
@@ -243,7 +244,7 @@ def test_face_sum_matches_chain_subsets_on_bundled_sets(name):
 def test_face_sum_matches_chain_subsets_on_generic_models(s, r):
     ps = generic_model(s, r)
     lattices = default_lattices(ps)
-    assert pair_count(ps, lattices, 1) is not None
+    assert pair_counts(ps, lattices, 1) is not None
     assert_counts_match_chain_subsets(ps, lattices, range(5))
 
 
@@ -252,7 +253,7 @@ def test_face_sum_matches_chain_subsets_on_cut_lattices(type_name):
     rs = RootSystem.from_type(type_name)
     ps = bonds(rs, (1, 1), weyl_group(rs))
     lattices = {c: lattice_LC_lambda(ps, c) for c in ps.maximal_chains()}
-    assert pair_count(ps, lattices, 1) is not None
+    assert pair_counts(ps, lattices, 1) is not None
     assert_counts_match_chain_subsets(ps, lattices, range(4))
 
 
@@ -286,13 +287,13 @@ def test_cut_lattices_count_ls_paths_as_the_face_list_does(type_name, lam):
     ps = bonds(rs, lam, weyl_group(rs))
     lattices = {c: lattice_LC_lambda(ps, c) for c in ps.maximal_chains()}
     for n in range(1, 3):
-        want = weyl_dim(rs, tuple(n * x for x in lam))
-        assert pair_count(ps, lattices, n) == face_sum(ps, lattices, n) == want
+        want = [weyl_dim(rs, tuple(k * x for x in lam)) for k in range(1, n + 1)]
+        assert pair_counts(ps, lattices, n) == face_sums(ps, lattices, n) == want
 
 
 def test_crown_takes_the_face_list():
     lattices = default_lattices(CROWN)
-    assert pair_count(CROWN, lattices, 1) is None
+    assert pair_counts(CROWN, lattices, 1) is None
     got = [hilbert_incl_excl(CROWN, lattices, n) for n in range(5)]
     assert got == [0, 7, 14, 21, 28]
     assert_counts_match_chain_subsets(CROWN, lattices, range(4))
@@ -310,7 +311,7 @@ def test_chain_dependent_interval_gcd_takes_the_face_list():
     with pytest.raises(ValidationFailure, match="bond gcd from s up to t is 2 or 1"):
         chain_gcds(ps)
     lattices = {c: lattice_LC_lambda(ps, c) for c in ps.maximal_chains()}
-    assert pair_count(ps, lattices, 1) is None
+    assert pair_counts(ps, lattices, 1) is None
     assert_counts_match_chain_subsets(ps, lattices, range(5))
 
 
@@ -363,7 +364,7 @@ def test_columns_from_one_pass_equal_the_values_per_degree(name):
     top = 8
     column = hilbert_column(ps, lattices, top)
     assert column == [hilbert_incl_excl(ps, lattices, n) for n in range(top + 1)]
-    assert column[1:] == [face_sum(ps, lattices, n) for n in range(1, top + 1)]
+    assert column[1:] == face_sums(ps, lattices, top)
     counts = pair_counts(ps, lattices, top)
     assert (counts is None) == (name in FACE_LIST_SETS)
     if counts is not None:
@@ -371,3 +372,20 @@ def test_columns_from_one_pass_equal_the_values_per_degree(name):
     sr = sr_hilbert_column(ps, top)
     assert sr == [sr_hilbert(ps, n) for n in range(top + 1)]
     assert sr == [sr_hilbert_by_faces(ps, n) for n in range(top + 1)]
+
+
+def test_hilbert_column_lists_the_faces_once(monkeypatch):
+    """The column to degree 6 on sl3b reads the face list once, not once
+    per degree."""
+    ps = load_workspace(bundled("sl3b")).ps
+    lattices = default_lattices(ps)
+    listed = StratPoset.faces_with_last_chain
+    reads = []
+
+    def counted(self):
+        reads.append(self)
+        return listed(self)
+
+    monkeypatch.setattr(StratPoset, "faces_with_last_chain", counted)
+    assert hilbert_column(ps, lattices, 6)[:6] == FACE_LIST_SETS["sl3b"]
+    assert len(reads) == 1
